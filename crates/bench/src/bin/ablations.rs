@@ -2,10 +2,11 @@
 //! table; motivated by §3.3 and Remarks 3/5):
 //!
 //! 1. dense-ball shortcut on/off (Step 1's amortization, Lemma 4);
-//! 2. cover-tree BCP vs brute-force BCP (Step 2, Lemma 5);
+//! 2. cover-tree BCP vs batched brute-force BCP (Step 2, Lemma 5) — now
+//!    a printed note: the per-fragment trees were removed;
 //! 3. early termination on/off in the merge;
 //! 4. engine reuse vs rebuild across an ε sweep (Remark 5), plus the
-//!    PR-2 fragment-tree LRU: replaying the same sweep warm;
+//!    Step-1/2 LRU: replaying the same sweep warm;
 //! 5. the §3.2 cover-tree pipeline vs the Algorithm 1 pipeline on
 //!    all-inlier data (Theorem 1's regime) — both as engine methods, so
 //!    the whole-input cover tree is also built once and reused.
@@ -20,11 +21,15 @@ const MIN_PTS: usize = 10;
 fn main() {
     let args = HarnessArgs::parse();
 
-    println!("# ablation 1-3: ExactConfig toggles");
+    println!("# ablation 1, 3: ExactConfig toggles");
+    println!(
+        "# ablation 2 (cover-tree BCP) retired: building one cover tree per fragment cost \
+         more than it saved once net-anchored pruning settled most fragment pairs and \
+         probes, so Step 2 scans the host fragment with one batched kernel call per probe"
+    );
     row!(
         "dataset",
         "dense_shortcut",
-        "cover_tree",
         "early_term",
         "solve_ms",
         "dist_evals",
@@ -38,42 +43,36 @@ fn main() {
         let eps = entry.eps0;
         let params = DbscanParams::new(eps, MIN_PTS).expect("params");
         let m = CountingMetric::new(Euclidean);
-        // Non-default toggle combinations bypass the fragment cache, so
-        // one engine is fair game for the whole grid; the (true, true)
-        // row disables caching explicitly to measure the raw pipeline.
+        // Runs without the dense shortcut bypass the Step-1/2 cache, so
+        // one engine is fair game for the whole grid; caching is off
+        // for the default row too, to measure the raw pipeline.
         let engine = MetricDbscan::builder(pts.to_vec(), &m)
             .rbar(eps / 2.0)
             .cache_capacity(0)
             .build()
             .expect("build");
         for dense in [true, false] {
-            for tree in [true, false] {
-                for early in [true, false] {
-                    let cfg = ExactConfig {
-                        dense_shortcut: dense,
-                        cover_tree_merge: tree,
-                        early_termination: early,
-                        ..ExactConfig::default()
-                    };
-                    m.reset();
-                    let (run, ms) = timed(|| engine.exact_with(&params, &cfg).expect("exact"));
-                    row!(
-                        entry.name,
-                        dense,
-                        tree,
-                        early,
-                        format!("{ms:.2}"),
-                        m.count(),
-                        run.clustering.num_clusters()
-                    );
-                }
+            for early in [true, false] {
+                let cfg = ExactConfig {
+                    dense_shortcut: dense,
+                    early_termination: early,
+                    ..ExactConfig::default()
+                };
+                m.reset();
+                let (run, ms) = timed(|| engine.exact_with(&params, &cfg).expect("exact"));
+                row!(
+                    entry.name,
+                    dense,
+                    early,
+                    format!("{ms:.2}"),
+                    m.count(),
+                    run.clustering.num_clusters()
+                );
             }
         }
     }
 
-    println!(
-        "\n# ablation 4: engine reuse vs rebuild across an eps sweep (Remark 5) + warm LRU (PR 2)"
-    );
+    println!("\n# ablation 4: engine reuse vs rebuild across an eps sweep (Remark 5) + warm LRU");
     row!("dataset", "mode", "total_ms");
     for entry in registry::high_dim_suite(&args).into_iter().take(2) {
         let pts = entry.data.points();
@@ -105,7 +104,7 @@ fn main() {
             }
         });
         // Same sweep again on the same engine: every (ε, MinPts) is now
-        // resident in the fragment LRU.
+        // resident in the Step-1/2 LRU.
         let (_, warm_ms) = timed(|| {
             for &eps in &sweep {
                 let params = DbscanParams::new(eps, MIN_PTS).expect("params");

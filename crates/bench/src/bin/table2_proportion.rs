@@ -4,8 +4,8 @@
 //!
 //! Also prints the measured speedup of re-solving at a second ε on the
 //! shared `MetricDbscan` engine versus rebuilding from scratch, plus the
-//! PR-2 payoff: repeating that second ε hits the fragment-tree LRU
-//! (`retune_warm_ms`).
+//! payoff of the engine's Step-1/2 LRU: repeating that second ε runs
+//! only Step 3 (`retune_warm_ms`).
 
 use mdbscan_bench::registry;
 use mdbscan_bench::{row, timed, HarnessArgs};

@@ -366,7 +366,7 @@ pub(crate) fn run_approx<P: Sync, M: BatchMetric<P> + Sync>(
         // distances dq_i = dis(sp_i, cs_i), dq_j. Then
         //   dis(sp_i, sp_j) ∈ [lb − dq_i − dq_j, ub + dq_i + dq_j]
         // decides most pairs against (1+ρ)ε without an evaluation.
-        let dq = |sp: u32| net.center_dist_ub(sp as usize);
+        let dq = |sp: u32| net.dist_to_center[sp as usize];
         // (candidate pair, verdict): Some(true) = free merge,
         // Some(false) = free discard (handled at generation), None = test.
         let gen_pairs = |i: usize,
@@ -605,7 +605,6 @@ fn label_point<P, M: BatchMetric<P>>(
     // Nearest summary point within (ρ/2+1)ε among neighbor balls,
     // anchored per neighbor center when its summary row is big enough.
     let row = adj.neighbors.row(cp);
-    let own = net.dist_to_center.map(|d2c| (cp as u32, d2c[p]));
     scratch.anchor_rows(
         points,
         metric,
@@ -613,7 +612,6 @@ fn label_point<P, M: BatchMetric<P>>(
         row,
         |e2| art.summary_by_center.row_len(e2),
         p,
-        own,
         pruning,
         ps,
     );
@@ -633,8 +631,7 @@ fn label_point<P, M: BatchMetric<P>>(
             let bound = best.map_or(label_r, |(d, _)| d);
             let sp = art.summary[jpos as usize] as usize;
             if let Some(a) = anchor {
-                let dq = net.center_dist_ub(sp);
-                if a - dq > bound || (net.dist_to_center.is_some() && dq - a > bound) {
+                if (a - net.dist_to_center[sp]).abs() > bound {
                     ps.bound_rejects += 1;
                     continue;
                 }

@@ -43,9 +43,11 @@
 //! * Step-1 core flags are monotone under ingest, so only new points —
 //!   and old points whose neighbor balls gained members — are
 //!   re-verified;
-//! * fragments only ever gain members, so cached fragment cover trees
-//!   grow by [`mdbscan_covertree::CoverTree::insert`] instead of being
-//!   discarded, and so does the cached whole-input tree.
+//! * fragments only ever gain members, so the fragments of untouched
+//!   balls carry over verbatim (Step 2 then re-runs over them);
+//! * the cached whole-input §3.2 tree grows by
+//!   [`mdbscan_covertree::CoverTree::insert`] instead of being
+//!   discarded.
 //!
 //! # Ingest determinism contract
 //!
@@ -88,13 +90,13 @@ use mdbscan_grid::{CandidateStats, GridIndex, GRID_MAX_DIM};
 use mdbscan_kcenter::{BuildOptions, CenterAdjacency, IncrementalNet, RadiusGuidedNet};
 use mdbscan_metric::{BatchMetric, PruneStats, PruningConfig};
 use mdbscan_obs::{Event, Phase, Recorder};
-use mdbscan_parallel::{Csr, ParallelConfig};
+use mdbscan_parallel::ParallelConfig;
 use mdbscan_rp::{RpConfig, RpIndex, RpStats};
 
 use crate::approx::{approx_threshold, run_approx, ApproxArtifacts, ApproxReuse, ApproxStats};
 use crate::error::DbscanError;
 use crate::exact::{ExactConfig, ExactStats};
-use crate::exact_covertree::{covertree_level, CoverTreeExactStats};
+use crate::exact_covertree::{covertree_level, CoverTreeExactStats, CoverTreeNet};
 use crate::labels::Clustering;
 use crate::netview::NetView;
 use crate::params::{ApproxParams, DbscanParams};
@@ -229,7 +231,7 @@ pub struct RunReport {
     /// engine construction excluded).
     pub total_secs: f64,
     /// True when this run reused at least one cached artifact *of its
-    /// own epoch* (fragment trees, the approx summary, and/or the
+    /// own epoch* (the Step-1/2 results, the approx summary, and/or the
     /// whole-input cover tree; the `ε`-keyed adjacency cache is
     /// reported separately in [`CacheStats`]). Cross-epoch incremental
     /// reuse is never reported as a hit — see [`CacheStats::upgrades`].
@@ -1730,9 +1732,9 @@ impl<'e, P: Clone + Sync, M: BatchMetric<P>> EngineSnapshot<'e, P, M> {
         grid: Option<Arc<GridIndex>>,
     ) -> (Clustering, ExactStats, bool) {
         let engine = self.engine;
-        // Only the default Step-1/2 shape is cacheable: the ablation
-        // toggles change what the artifacts contain.
-        let cacheable = cfg.dense_shortcut && cfg.cover_tree_merge;
+        // Without the dense shortcut `dense_cores` means something else,
+        // so only runs with it read or write the cache.
+        let cacheable = cfg.dense_shortcut;
         let key = CacheKey {
             kind,
             epoch: self.state.epoch,
@@ -1746,7 +1748,13 @@ impl<'e, P: Clone + Sync, M: BatchMetric<P>> EngineSnapshot<'e, P, M> {
         let mut upgrade_base: Option<(Arc<StepArtifacts>, Vec<u32>)> = None;
         let cached: Option<Arc<StepArtifacts>> = if cacheable {
             let mut cache = engine.cache_lock();
-            let found = cache.fragments.get_steps(&key);
+            // A loaded cover-tree entry cannot be checked against its net
+            // at load time (the net is extracted per query), so one whose
+            // rows do not match this net is a miss.
+            let found = cache
+                .fragments
+                .get_steps(&key)
+                .filter(|a| a.fragments.num_rows() == view.num_centers());
             if found.is_none() && kind == NetKind::Gonzalez {
                 if let Some((from, art)) = cache.fragments.best_steps_base(&key) {
                     if let Some(dirty) = cache.dirty_since(from, key.epoch, art.is_core.len()) {
@@ -1923,7 +1931,8 @@ impl<'e, P: Clone + Sync, M: BatchMetric<P>> EngineSnapshot<'e, P, M> {
     /// insertion** of the new points — the grown tree is bit-identical
     /// to a from-scratch build, because building *is* sequential
     /// insertion in index order — after which any `ε` extracts its net
-    /// with zero further distance evaluations.
+    /// with `n` distance evaluations, one per point for its anchor
+    /// `dis(p, c_p)`.
     pub fn covertree_with(
         &self,
         params: &DbscanParams,
@@ -2002,20 +2011,11 @@ impl<'e, P: Clone + Sync, M: BatchMetric<P>> EngineSnapshot<'e, P, M> {
 
         let level = covertree_level(params.eps());
         let t = Instant::now();
-        let net = tree.extract_net(level);
+        let net = CoverTreeNet::extract(&tree, &self.state.points, &engine.metric, level);
         let net_secs = t.elapsed().as_secs_f64();
-        debug_assert!(net.cover_radius <= params.eps() / 2.0 * (1.0 + 1e-9));
-        let cover_sets = Csr::from_assignment(&net.assignment, net.centers.len());
-        let view = NetView {
-            rbar: net.cover_radius,
-            centers: &net.centers,
-            assignment: &net.assignment,
-            cover_sets: &cover_sets,
-            dist_to_center: None,
-        };
         let grid = self.resolve_grid(params.eps());
         let (clustering, steps, frag_hit) =
-            self.run_steps_cached(&view, params, cfg, NetKind::CoverTree, level, grid);
+            self.run_steps_cached(&net.view(), params, cfg, NetKind::CoverTree, level, grid);
         let detail = RunDetail::CoverTree(CoverTreeExactStats {
             tree_secs,
             net_secs,
@@ -2172,6 +2172,45 @@ mod tests {
         assert!(e.cache_heap_bytes() > 0);
         e.clear_cache();
         assert_eq!(e.cache_stats().entries, 0);
+    }
+
+    /// A hit on an entry that carries Step 2's component map runs Step 3
+    /// only: no BCP test and no Step-2 distance evaluation, on both the
+    /// §3.1 and the §3.2 pipelines.
+    #[test]
+    fn hit_with_component_map_skips_step2() {
+        let e = engine(0.5);
+        let params = DbscanParams::new(1.0, 4).unwrap();
+        // Pruning off, so the cold run has real BCP tests to skip.
+        let cfg = ExactConfig {
+            pruning: PruningConfig::off(),
+            count_distance_evals: true,
+            ..ExactConfig::default()
+        };
+        for covertree in [false, true] {
+            let run = || {
+                if covertree {
+                    e.covertree_with(&params, &cfg).unwrap()
+                } else {
+                    e.exact_with(&params, &cfg).unwrap()
+                }
+            };
+            let cold = run();
+            let s = *cold.report.exact_stats().unwrap();
+            assert!(
+                s.bcp_tests > 0 && s.merge_evals > 0,
+                "covertree={covertree}"
+            );
+            let warm = run();
+            assert!(warm.report.cache_hit);
+            let s = warm.report.exact_stats().unwrap();
+            assert_eq!(
+                (s.bcp_tests, s.merge_evals),
+                (0, 0),
+                "covertree={covertree}"
+            );
+            assert_eq!(cold.clustering, warm.clustering);
+        }
     }
 
     #[test]

@@ -196,29 +196,26 @@ mod tests {
             .unwrap();
         let baseline = engine.exact(&params).unwrap().clustering;
         for dense in [false, true] {
-            for tree in [false, true] {
-                for early in [false, true] {
-                    let cfg = ExactConfig {
-                        dense_shortcut: dense,
-                        cover_tree_merge: tree,
-                        early_termination: early,
-                        ..ExactConfig::default()
-                    };
-                    let run = engine.exact_with(&params, &cfg).unwrap();
-                    let c = &run.clustering;
-                    assert!(
-                        c.same_partition(&baseline) || {
-                            // borders may tie-break differently across configs;
-                            // require identical core partition + noise set
-                            let ref_c = reference_dbscan(&pts, &Euclidean, 0.3, 5);
-                            assert_equivalent(&pts, &Euclidean, 0.3, c, &ref_c);
-                            true
-                        },
-                        "config {cfg:?} changed the result"
-                    );
-                    let stats = run.report.exact_stats().expect("exact run");
-                    assert_eq!(stats.n_centers, engine.num_centers());
-                }
+            for early in [false, true] {
+                let cfg = ExactConfig {
+                    dense_shortcut: dense,
+                    early_termination: early,
+                    ..ExactConfig::default()
+                };
+                let run = engine.exact_with(&params, &cfg).unwrap();
+                let c = &run.clustering;
+                assert!(
+                    c.same_partition(&baseline) || {
+                        // borders may tie-break differently across configs;
+                        // require identical core partition + noise set
+                        let ref_c = reference_dbscan(&pts, &Euclidean, 0.3, 5);
+                        assert_equivalent(&pts, &Euclidean, 0.3, c, &ref_c);
+                        true
+                    },
+                    "config {cfg:?} changed the result"
+                );
+                let stats = run.report.exact_stats().expect("exact run");
+                assert_eq!(stats.n_centers, engine.num_centers());
             }
         }
     }

@@ -31,12 +31,65 @@ pub(crate) fn covertree_level(eps: f64) -> i32 {
     (eps / 2.0).log2().floor() as i32 - 1
 }
 
+/// The net read off a cover-tree level, in the shape Steps 1–3 consume:
+/// its cover sets as CSR rows and the exact `dis(p, c_p)` anchors, which
+/// the tree does not record.
+pub(crate) struct CoverTreeNet {
+    rbar: f64,
+    pub(crate) centers: Vec<usize>,
+    assignment: Vec<u32>,
+    cover_sets: Csr,
+    dist_to_center: Vec<f64>,
+}
+
+impl CoverTreeNet {
+    /// Extracts level `level` of `tree` and evaluates the anchors: one
+    /// batched [`BatchMetric::dist_many`] call per center over its cover
+    /// set, `n` distance evaluations in all.
+    pub(crate) fn extract<P, M: BatchMetric<P>>(
+        tree: &CoverTree<'_, P, M>,
+        points: &[P],
+        metric: &M,
+        level: i32,
+    ) -> Self {
+        let net = tree.extract_net(level);
+        let cover_sets = Csr::from_assignment(&net.assignment, net.centers.len());
+        let mut dist_to_center = vec![0.0; net.assignment.len()];
+        let mut buf = Vec::new();
+        for (e, &c) in net.centers.iter().enumerate() {
+            let row = cover_sets.row(e);
+            metric.dist_many(points, &points[c], row, &mut buf);
+            for (&p, &d) in row.iter().zip(&buf) {
+                dist_to_center[p as usize] = d;
+            }
+        }
+        CoverTreeNet {
+            rbar: net.cover_radius,
+            centers: net.centers,
+            assignment: net.assignment,
+            cover_sets,
+            dist_to_center,
+        }
+    }
+
+    pub(crate) fn view(&self) -> NetView<'_> {
+        NetView {
+            rbar: self.rbar,
+            centers: &self.centers,
+            assignment: &self.assignment,
+            cover_sets: &self.cover_sets,
+            dist_to_center: &self.dist_to_center,
+        }
+    }
+}
+
 /// Statistics of a §3.2 run.
 #[derive(Debug, Clone, Copy)]
 pub struct CoverTreeExactStats {
     /// Seconds building the cover tree over `X`.
     pub tree_secs: f64,
-    /// Seconds extracting the net from level `i₀`.
+    /// Seconds extracting the net from level `i₀`, including the
+    /// `dis(p, c_p)` anchors the pruning bounds measure from.
     pub net_secs: f64,
     /// The level used.
     pub level: i32,
@@ -83,21 +136,16 @@ pub fn exact_dbscan_covertree_with<P: Sync, M: BatchMetric<P> + Sync>(
 
     let i0 = covertree_level(eps);
     let t = Instant::now();
-    let net = tree.extract_net(i0);
+    let net = CoverTreeNet::extract(&tree, points, metric, i0);
     let net_secs = t.elapsed().as_secs_f64();
-    debug_assert!(net.cover_radius <= eps / 2.0 * (1.0 + 1e-9));
-
-    // Rebuild cover sets from the assignment (the net gives center pos per
-    // point).
-    let cover_sets = Csr::from_assignment(&net.assignment, net.centers.len());
-    let view = NetView {
-        rbar: net.cover_radius,
-        centers: &net.centers,
-        assignment: &net.assignment,
-        cover_sets: &cover_sets,
-        dist_to_center: None,
-    };
-    let out = run_exact_steps(points, metric, &view, &params, cfg, StepsReuse::default());
+    let out = run_exact_steps(
+        points,
+        metric,
+        &net.view(),
+        &params,
+        cfg,
+        StepsReuse::default(),
+    );
     Ok((
         Clustering::from_labels(out.labels),
         CoverTreeExactStats {

@@ -80,7 +80,6 @@
 //! | Algorithm 1 sweep + farthest-point reduction | points |
 //! | center adjacency (`A` sets) | upper-triangle center rows |
 //! | Step 1 core labeling / Algorithm 2 core tests | points / centers |
-//! | Step 2 fragment cover trees | fragments (weighted) |
 //! | Step 2 BCP tests / summary merges | candidate pairs, batched per union-find round |
 //! | Step 3 border assignment / Algorithm 2 labeling | points |
 //! | streaming pass 3 | stream blocks |

@@ -18,11 +18,11 @@ pub(crate) struct NetView<'n> {
     pub assignment: &'n [u32],
     /// Per center, the points assigned to it (rows partition the input).
     pub cover_sets: &'n Csr,
-    /// Exact `dis(p, c_p)` per point when the net recorded it (Algorithm
-    /// 1 does, for free — the greedy maintains these distances anyway).
-    /// `None` for cover-tree nets, where the triangle-inequality pruning
-    /// falls back to the coarser `rbar` bound.
-    pub dist_to_center: Option<&'n [f64]>,
+    /// Exact `dis(p, c_p)` per point — the anchor every
+    /// triangle-inequality bound measures from. Algorithm 1 records it
+    /// for free (the greedy maintains these distances anyway); cover-tree
+    /// nets evaluate it once per query when they are extracted.
+    pub dist_to_center: &'n [f64],
 }
 
 impl<'n> NetView<'n> {
@@ -33,15 +33,8 @@ impl<'n> NetView<'n> {
             centers: &net.centers,
             assignment: &net.assignment,
             cover_sets: &net.cover_sets,
-            dist_to_center: Some(&net.dist_to_center),
+            dist_to_center: &net.dist_to_center,
         }
-    }
-
-    /// The best available upper bound on `dis(p, c_p)` for point `p`:
-    /// the recorded exact distance, else the covering radius.
-    #[inline]
-    pub fn center_dist_ub(&self, p: usize) -> f64 {
-        self.dist_to_center.map_or(self.rbar, |d| d[p])
     }
 
     /// Number of points.

@@ -13,9 +13,9 @@
 //! * the ingest delta history (dirty-ball lists), so cross-epoch
 //!   incremental upgrades keep working across the restart;
 //! * every cache, in LRU order with its keys: the `ε`-keyed center
-//!   adjacencies with their lo/hi edge bounds, the fragment/summary
-//!   artifacts (cached cover-tree skeletons included), and the
-//!   whole-input §3.2 trees;
+//!   adjacencies with their lo/hi edge bounds, the Step-1/2 and summary
+//!   artifacts (Step 2's fragment→component map in its own section),
+//!   and the whole-input §3.2 trees;
 //! * the engine configuration (radius, strategy, pruning policy, cache
 //!   capacities) and the lifetime cache counters.
 //!
@@ -62,6 +62,11 @@ const SEC_DELTAS: &str = "deltas";
 const SEC_ADJACENCY: &str = "adjacency-cache";
 const SEC_FRAGMENTS: &str = "fragment-cache";
 const SEC_COVERTREES: &str = "covertree-cache";
+/// Step 2's answer for each cached Step-1/2 entry: its
+/// fragment→component map, keyed like the entry. **Optional**:
+/// artifacts written before the map was cached lack it, and their
+/// entries decode without a map (a hit on one re-runs Step 2).
+const SEC_STEP2: &str = "step2-components";
 /// Grid candidate-index configuration. **Optional**: artifacts written
 /// before the grid subsystem existed simply lack it, and decode to
 /// [`CandidateIndex::Generic`] with default capacity and zeroed
@@ -367,15 +372,11 @@ fn encode_steps(out: &mut ByteWriter, a: &StepArtifacts) {
     out.put_usize(a.dense_cores);
     a.fragments.encode(out);
     out.put_f64s(&a.frag_radius);
-    out.put_usize(a.skeletons.len());
-    for skeleton in &a.skeletons {
-        match skeleton {
-            Some(s) => {
-                out.put_bool(true);
-                s.encode(out);
-            }
-            None => out.put_bool(false),
-        }
+    // One slot per fragment where earlier artifacts stored its cover
+    // tree; written absent (the map travels in `SEC_STEP2`).
+    out.put_usize(a.fragments.num_rows());
+    for _ in 0..a.fragments.num_rows() {
+        out.put_bool(false);
     }
 }
 
@@ -385,6 +386,7 @@ fn encode_steps(out: &mut ByteWriter, a: &StepArtifacts) {
 /// which in turn must not exceed `max_points`, the loaded engine's
 /// point count. A violated bound here would otherwise surface as an
 /// index panic (or silently wrong labels) on the first cache hit.
+/// The entry decodes without a component map; the caller attaches it.
 fn decode_steps(r: &mut ByteReader<'_>, max_points: usize) -> Result<StepArtifacts, PersistError> {
     let is_core = r.get_bools()?;
     let dense_cores = r.get_usize()?;
@@ -413,35 +415,42 @@ fn decode_steps(r: &mut ByteReader<'_>, max_points: usize) -> Result<StepArtifac
             is_core.len()
         )));
     }
-    let num_skeletons = r.get_usize()?;
-    if num_skeletons != fragments.num_rows() {
+    // Artifacts written while Step 2 used per-fragment cover trees store
+    // them here: parsed, so a corrupt one still fails typed, and dropped.
+    let slots = r.get_usize()?;
+    if slots != fragments.num_rows() {
         return Err(r.err(format!(
-            "{num_skeletons} fragment trees for {} fragment rows",
+            "{slots} fragment trees for {} fragment rows",
             fragments.num_rows()
         )));
     }
-    let mut skeletons = Vec::with_capacity(num_skeletons.min(r.remaining() + 1));
-    for _ in 0..num_skeletons {
-        skeletons.push(if r.get_bool()? {
-            let skeleton = CoverTreeSkeleton::decode(r)?;
-            if skeleton
-                .max_point_index()
-                .is_some_and(|m| m as usize >= is_core.len())
-            {
-                return Err(r.err("fragment tree indexes past the artifact's points"));
-            }
-            Some(skeleton)
-        } else {
-            None
-        });
+    for _ in 0..slots {
+        if r.get_bool()? {
+            CoverTreeSkeleton::decode(r)?;
+        }
     }
     Ok(StepArtifacts {
         is_core,
         dense_cores,
         fragments,
         frag_radius,
-        skeletons,
+        components: None,
     })
+}
+
+/// Checks the per-center row count of a decoded cache entry against
+/// the loaded net: an entry keyed at the loaded epoch is hit (not
+/// upgraded), so it must have exactly one row per center; an older
+/// entry may only serve as an upgrade base over a prefix of the
+/// append-only center list.
+fn check_center_rows(rows: usize, current_epoch: bool, centers: usize) -> Result<(), PersistError> {
+    if (current_epoch && rows != centers) || rows > centers {
+        return Err(PersistError::format(
+            SEC_FRAGMENTS,
+            format!("cached entry spans {rows} centers, net has {centers}"),
+        ));
+    }
+    Ok(())
 }
 
 fn encode_approx(out: &mut ByteWriter, a: &ApproxArtifacts) {
@@ -644,6 +653,22 @@ where
                     encode_approx(s, a);
                 }
             }
+        }
+
+        let maps: Vec<(&CacheKey, &Vec<u32>)> = cache
+            .fragments
+            .entries
+            .iter()
+            .filter_map(|(key, artifact)| match artifact {
+                CachedArtifacts::Steps(a) => a.components.as_ref().map(|c| (key, c)),
+                CachedArtifacts::Approx(_) => None,
+            })
+            .collect();
+        let s = w.section(SEC_STEP2);
+        s.put_usize(maps.len());
+        for (key, map) in maps {
+            encode_cache_key(s, key);
+            s.put_u32s(map);
         }
 
         let s = w.section(SEC_COVERTREES);
@@ -912,19 +937,29 @@ where
             adjacency.entries.truncate(cfg.adj_capacity);
         }
 
+        let mut maps: Vec<(CacheKey, Vec<u32>)> = Vec::new();
+        if let Some(mut s) = art.section(SEC_STEP2) {
+            let count = s.get_usize()?;
+            for _ in 0..count {
+                maps.push((decode_cache_key(&mut s)?, s.get_u32s()?));
+            }
+        }
+
         let mut fragments = Lru::new(cfg.frag_capacity);
         if let Some(mut s) = art.section(SEC_FRAGMENTS) {
             let count = s.get_usize()?;
             for _ in 0..count {
                 let key = decode_cache_key(&mut s)?;
+                let current = key.epoch == cfg.epoch;
+                let centers = net.centers.len();
                 let artifact = match s.get_u8()? {
                     0 => {
-                        let steps = decode_steps(&mut s, points.len())?;
+                        let mut steps = decode_steps(&mut s, points.len())?;
                         // An entry keyed at the loaded epoch is hit (not
                         // upgraded), so it must cover exactly the loaded
                         // points; older epochs are re-verified against
                         // the delta history before any reuse.
-                        if key.epoch == cfg.epoch && steps.is_core.len() != points.len() {
+                        if current && steps.is_core.len() != points.len() {
                             return Err(PersistError::format(
                                 SEC_FRAGMENTS,
                                 format!(
@@ -935,9 +970,30 @@ where
                             )
                             .into());
                         }
+                        let rows = steps.fragments.num_rows();
+                        // Cover-tree entries are checked against their
+                        // per-query net on lookup instead.
+                        if key.kind == NetKind::Gonzalez {
+                            check_center_rows(rows, current, centers)?;
+                        }
+                        if let Some(i) = maps.iter().position(|(k, _)| *k == key) {
+                            let map = maps.swap_remove(i).1;
+                            if map.len() != rows || map.iter().any(|&c| c as usize >= rows) {
+                                return Err(PersistError::format(
+                                    SEC_STEP2,
+                                    format!("component map does not fit {rows} fragments"),
+                                )
+                                .into());
+                            }
+                            steps.components = Some(map);
+                        }
                         CachedArtifacts::Steps(Arc::new(steps))
                     }
-                    1 => CachedArtifacts::Approx(Arc::new(decode_approx(&mut s, points.len())?)),
+                    1 => {
+                        let approx = decode_approx(&mut s, points.len())?;
+                        check_center_rows(approx.center_core.len(), current, centers)?;
+                        CachedArtifacts::Approx(Arc::new(approx))
+                    }
                     b => return Err(s.err(format!("unknown artifact variant {b}")).into()),
                 };
                 fragments.entries.push((key, artifact));

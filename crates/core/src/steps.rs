@@ -11,9 +11,13 @@
 //! * **Step 2** — merge core groups. All core points inside one ball are
 //!   pairwise within `2r̄ ≤ ε`, hence one cluster fragment; fragments
 //!   `C̃_e, C̃_{e'}` of neighboring balls merge iff their bichromatic
-//!   closest pair is `≤ ε`, decided by a cover tree per fragment with
-//!   early termination on the first witness pair. `O(n·z·log(ε/δ)·t_dis)`
-//!   (Lemma 5).
+//!   closest pair is `≤ ε`. The paper decides each pair with a cover
+//!   tree per fragment for its worst-case bound (Lemma 5); here each
+//!   probe point of the smaller fragment scans the host fragment with
+//!   one batched [`BatchMetric::dist_many_within`] call, and the test
+//!   stops at the first probe with a witness. Building the trees cost
+//!   more than it saved: the net-anchored bounds below already settle
+//!   most pairs and skip most probes without a distance evaluation.
 //! * **Step 3** — borders vs outliers. Each non-core point looks for its
 //!   nearest core point inside `∪_{e' ∈ A_e} C̃_{e'}`; within `ε` → border
 //!   of that core's cluster, else noise. `O(n·z·t_dis)` (Lemma 6).
@@ -39,25 +43,21 @@
 //! * the adjacency parallelizes over upper-triangle center rows;
 //! * Step 1 over points (each point's core test is independent), with
 //!   pruning counters reduced per worker chunk;
-//! * Step 2 builds the per-fragment cover trees in parallel (weighted
-//!   by fragment size) and batches BCP tests per union-find round — a
-//!   batch is pre-filtered against current connectivity, tested in
-//!   parallel, and unioned in order, preserving the early-termination
-//!   *semantics* (skipped pairs are already-connected pairs) and the
-//!   final labels exactly;
+//! * Step 2 batches BCP tests per union-find round — a batch is
+//!   pre-filtered against current connectivity, tested in parallel, and
+//!   unioned in order, preserving the early-termination *semantics*
+//!   (skipped pairs are already-connected pairs) and the final labels
+//!   exactly;
 //! * Step 3 over points again.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use mdbscan_covertree::{CoverTree, CoverTreeSkeleton};
 use mdbscan_grid::{CandidateStats, GridIndex};
 use mdbscan_kcenter::CenterAdjacency;
 use mdbscan_metric::{BatchMetric, CountingMetric, PruneStats, PruningConfig};
-use mdbscan_parallel::{
-    par_map_ranges, split_even, split_weighted, worker_count, Csr, ParallelConfig,
-};
+use mdbscan_parallel::{par_map_ranges, split_even, worker_count, Csr, ParallelConfig};
 
 use crate::labels::PointLabel;
 use crate::netview::NetView;
@@ -76,10 +76,6 @@ pub struct ExactConfig {
     /// without any distance computation (the paper's dense/sparse split,
     /// Lemma 4 / §3.3). Off = every point counts its neighborhood.
     pub dense_shortcut: bool,
-    /// Step 2/3: answer BCP and nearest-core queries with per-fragment
-    /// cover trees (the paper's design). Off = brute-force scans over the
-    /// fragment pairs (still A-restricted).
-    pub cover_tree_merge: bool,
     /// Step 2: stop a BCP test at the first witness pair `≤ ε` and skip
     /// tests between fragments already merged transitively. Off = every
     /// neighboring pair computes its full BCP — note that `pruning` must
@@ -107,7 +103,6 @@ impl Default for ExactConfig {
     fn default() -> Self {
         Self {
             dense_shortcut: true,
-            cover_tree_merge: true,
             early_termination: true,
             pruning: PruningConfig::default(),
             parallel: ParallelConfig::default(),
@@ -129,7 +124,8 @@ pub struct StepsStats {
     pub adjacency_secs: f64,
     /// Seconds in Step 1.
     pub label_secs: f64,
-    /// Seconds in Step 2 (including fragment cover-tree construction).
+    /// Seconds in Step 2: building the fragments and merging them (zero
+    /// work on a cache hit that carries Step 2's answer).
     pub merge_secs: f64,
     /// Seconds in Step 3.
     pub assign_secs: f64,
@@ -145,12 +141,9 @@ pub struct StepsStats {
     /// Fragment pairs found connected (distance-free accepts included).
     pub bcp_connected: u64,
     /// Triangle-inequality pruning ledger across the adjacency and
-    /// Steps 1–3. `bound_*` counters are in candidate *pairs*; for
-    /// tree-backed groups a skipped group counts all its pairs even
-    /// though the tree would have evaluated fewer, so
-    /// [`PruneStats::distance_evals_saved`] is an upper estimate there.
-    /// Like `bcp_tests`, these are work counters — thread count and
-    /// cache hits may shift them while labels stay identical.
+    /// Steps 1–3. `bound_*` counters are in candidate *pairs*. Like
+    /// `bcp_tests`, these are work counters — thread count and cache
+    /// hits may shift them while labels stay identical.
     pub pruning: PruneStats,
     /// Distance evaluations across all phases (adjacency + Steps 1–3),
     /// in units of the paper's `t_dis`. Zero unless
@@ -162,7 +155,8 @@ pub struct StepsStats {
     /// Distance evaluations spent in Step 1 (zero on a fragment-cache
     /// hit, or when not counting).
     pub label_evals: u64,
-    /// Distance evaluations spent in Step 2 (when counting).
+    /// Distance evaluations spent in Step 2 (zero on a fragment-cache
+    /// hit that carries Step 2's answer, or when not counting).
     pub merge_evals: u64,
     /// Distance evaluations spent in Step 3 (when counting).
     pub assign_evals: u64,
@@ -173,18 +167,16 @@ pub struct StepsStats {
     pub candidates: CandidateStats,
 }
 
-/// The `(ε, MinPts)`-dependent intermediates of Steps 1–2 that an engine
-/// may cache across queries: the core flags, the fragment partition
-/// `C̃_e` (with per-fragment anchor radii), and the per-fragment cover
-/// trees as owned, borrow-free [`CoverTreeSkeleton`]s.
+/// The `(ε, MinPts)`-dependent results of Steps 1–2 that an engine may
+/// cache across queries: the core flags, the fragment partition `C̃_e`
+/// (with per-fragment anchor radii), and Step 2's answer — the
+/// component id of each fragment.
 ///
 /// For a fixed net all of these are **deterministic functions of
 /// `(ε, MinPts)`** — independent of thread count, of the pruning knob,
-/// and of the ablation toggles under which they are cached (the
-/// defaults: dense shortcut and cover-tree merge on) — so replaying
-/// them yields bit-identical labels. Re-attaching a skeleton costs zero
-/// distance evaluations, which is exactly the Step-2 construction cost
-/// the cache amortizes.
+/// and of the early-termination toggle — so replaying them yields
+/// bit-identical labels. A hit that carries the component map runs
+/// Step 3 only.
 pub(crate) struct StepArtifacts {
     pub(crate) is_core: Vec<bool>,
     pub(crate) dense_cores: usize,
@@ -192,7 +184,11 @@ pub(crate) struct StepArtifacts {
     /// Per center: `max_{p ∈ C̃_e} dis(p, c_e)` (0 for empty fragments)
     /// — the anchor radius Step 2/3 pruning measures against.
     pub(crate) frag_radius: Vec<f64>,
-    pub(crate) skeletons: Vec<Option<CoverTreeSkeleton>>,
+    /// Per center: the component id its fragment ended Step 2 in (the
+    /// union-find's `component_ids`). `None` only for entries loaded
+    /// from artifacts written before the map was persisted; a hit on
+    /// such an entry re-runs Step 2.
+    pub(crate) components: Option<Vec<u32>>,
 }
 
 impl StepArtifacts {
@@ -202,30 +198,19 @@ impl StepArtifacts {
             + self.fragments.total_len() * std::mem::size_of::<u32>()
             + self.frag_radius.len() * std::mem::size_of::<f64>()
             + self
-                .skeletons
-                .iter()
-                .flatten()
-                .map(CoverTreeSkeleton::heap_bytes)
-                .sum::<usize>()
+                .components
+                .as_ref()
+                .map_or(0, |c| c.len() * std::mem::size_of::<u32>())
     }
-}
-
-/// Per-fragment reuse verdict of an incremental upgrade: carry the
-/// cached cover tree over, grow it by the fragment's added members, or
-/// rebuild from scratch.
-enum FragPlan {
-    Reuse,
-    Grow(Vec<u32>),
-    Build,
 }
 
 /// An older epoch's artifacts plus the ingest delta separating it from
 /// the current net — the input of the *incremental* Step-1/2
 /// maintenance. Core flags are monotone under ingest (adding points
 /// only grows `ε`-neighborhoods), so only points whose neighbor balls
-/// gained members are re-verified, fragments only ever gain members,
-/// and grown fragments extend their cached cover trees by insertion
-/// instead of rebuilding.
+/// gained members are re-verified, and the fragments of untouched
+/// balls carry over verbatim. Step 2 itself re-runs: one new witness
+/// pair can join any two components.
 #[derive(Clone, Copy)]
 pub(crate) struct StepsUpgrade<'a> {
     /// Artifacts computed at the same `(ε, MinPts)` over a prefix of
@@ -477,79 +462,41 @@ fn run_steps_inner<P: Sync, M: BatchMetric<P> + Sync>(
     stats.label_secs = t.elapsed().as_secs_f64();
 
     // ---- Step 2: merge core fragments ----
+    // A hit that carries Step 2's answer replays it and skips the step.
     let t = Instant::now();
     let evals_before = tick();
+    let cached_components: Option<&[u32]> = reuse.artifacts.and_then(|a| a.components.as_deref());
     // C̃_e: the core points of each cover set, flattened like the cover
     // sets themselves, plus each fragment's anchor radius
     // max dis(p, c_e) — free to record, and what the distance-free
-    // merge accepts measure against. Under an upgrade, every fragment
-    // additionally gets a reuse plan: untouched rows keep their cached
-    // skeleton, grown rows extend it by insertion, the rest rebuild.
-    let mut frag_plans: Option<Vec<FragPlan>> = None;
+    // merge accepts measure against. Under an upgrade, the rows of
+    // untouched balls carry over verbatim.
     let frag_local: Option<(Csr, Vec<f64>)> = if reuse.artifacts.is_some() {
         None
     } else {
         let mut offsets = vec![0usize; k + 1];
         let mut values = Vec::new();
         let mut radius = Vec::with_capacity(k);
-        let mut plans: Option<Vec<FragPlan>> = upgrade.map(|_| Vec::with_capacity(k));
         let old_k = upgrade.map_or(0, |u| u.artifacts.fragments.num_rows());
         for e in 0..k {
             if let (Some(u), Some(aff)) = (upgrade, affected.as_ref()) {
                 if e < old_k && !aff[e] {
-                    // Untouched ball: fragment row, anchor radius, and
-                    // skeleton are all carried over verbatim.
                     values.extend_from_slice(u.artifacts.fragments.row(e));
                     offsets[e + 1] = values.len();
                     radius.push(u.artifacts.frag_radius[e]);
-                    plans
-                        .as_mut()
-                        .expect("upgrade has plans")
-                        .push(FragPlan::Reuse);
                     continue;
                 }
             }
-            let start = values.len();
             let mut r = 0.0f64;
             for &p in net.cover_sets.row(e) {
                 if is_core[p as usize] {
                     values.push(p);
-                    r = r.max(net.center_dist_ub(p as usize));
+                    r = r.max(net.dist_to_center[p as usize]);
                 }
             }
             offsets[e + 1] = values.len();
             radius.push(r);
-            if let Some(plans) = plans.as_mut() {
-                let u = upgrade.expect("plans imply upgrade");
-                let new_row = &values[start..];
-                let old_row: &[u32] = if e < old_k {
-                    u.artifacts.fragments.row(e)
-                } else {
-                    &[]
-                };
-                let has_old_tree = e < old_k && u.artifacts.skeletons[e].is_some();
-                plans.push(if new_row == old_row {
-                    FragPlan::Reuse
-                } else if has_old_tree {
-                    // Flags are monotone and points append-only, so
-                    // old ⊆ new: grow the cached tree by the difference.
-                    let mut added = Vec::with_capacity(new_row.len() - old_row.len());
-                    let mut oi = 0usize;
-                    for &q in new_row {
-                        if oi < old_row.len() && old_row[oi] == q {
-                            oi += 1;
-                        } else {
-                            added.push(q);
-                        }
-                    }
-                    debug_assert_eq!(oi, old_row.len(), "old fragment not a subset of new");
-                    FragPlan::Grow(added)
-                } else {
-                    FragPlan::Build
-                });
-            }
         }
-        frag_plans = plans;
         Some((Csr::from_parts(offsets, values), radius))
     };
     let (fragments, frag_radius): (&Csr, &[f64]) = match reuse.artifacts {
@@ -559,86 +506,127 @@ fn run_steps_inner<P: Sync, M: BatchMetric<P> + Sync>(
             (f, r)
         }
     };
-    let trees: Vec<Option<CoverTree<'_, P, M>>> = if !cfg.cover_tree_merge {
-        (0..k).map(|_| None).collect()
-    } else if let Some(a) = reuse.artifacts {
-        // Cache hit: re-attach the stored skeletons — zero distance
-        // evaluations, just a structure clone per fragment.
-        a.skeletons
-            .iter()
-            .map(|s| {
-                s.as_ref()
-                    .map(|sk| CoverTree::from_skeleton(points, metric, sk.clone()))
-            })
-            .collect()
-    } else if let (Some(u), Some(plans)) = (upgrade, frag_plans.as_ref()) {
-        // Incremental upgrade: unchanged fragments re-attach their
-        // cached skeleton for free; fragments that only gained members
-        // insert the difference into the cached tree (the whole point —
-        // fragment construction is the Step-2 cost the epochs amortize);
-        // only brand-new fragments build from scratch.
-        (0..k)
-            .map(|e| match &plans[e] {
-                FragPlan::Reuse => u
-                    .artifacts
-                    .skeletons
-                    .get(e)
-                    .and_then(Option::as_ref)
-                    .map(|sk| CoverTree::from_skeleton(points, metric, sk.clone())),
-                FragPlan::Grow(added) => {
-                    let sk = u.artifacts.skeletons[e]
-                        .as_ref()
-                        .expect("grow implies a tree");
-                    let mut tree = CoverTree::from_skeleton(points, metric, sk.clone());
-                    for &q in added {
-                        tree.insert(q as usize);
-                    }
-                    Some(tree)
+    let components_local = cached_components.is_none().then(|| {
+        merge_fragments(
+            points,
+            metric,
+            net,
+            &adj,
+            fragments,
+            frag_radius,
+            eps,
+            cfg,
+            &mut stats,
+        )
+    });
+    let cluster_of_center: &[u32] = cached_components
+        .or(components_local.as_deref())
+        .expect("cached or computed above");
+    stats.merge_evals = tick() - evals_before;
+    stats.merge_secs = t.elapsed().as_secs_f64();
+
+    // ---- Step 3: borders and outliers, parallel over points ----
+    let t = Instant::now();
+    let evals_before = tick();
+    let w = worker_count(threads, n, STEP_MIN_PER_THREAD);
+    let chunks = par_map_ranges(split_even(n, w), |r| {
+        let mut ps = PruneStats::default();
+        let mut cs = CandidateStats::default();
+        let mut scratch = AnchorScratch::default();
+        let labels: Vec<PointLabel> = r
+            .map(|pi| {
+                if is_core[pi] {
+                    let e = net.assignment[pi] as usize;
+                    return PointLabel::Core(cluster_of_center[e]);
                 }
-                FragPlan::Build => {
-                    let frag = fragments.row(e);
-                    (!frag.is_empty()).then(|| {
-                        CoverTree::from_indices(points, metric, frag.iter().map(|&p| p as usize))
-                    })
+                match grid {
+                    Some(g) => assign_border_grid(
+                        points,
+                        metric,
+                        net,
+                        g,
+                        is_core,
+                        cluster_of_center,
+                        pi,
+                        eps,
+                        &mut cs,
+                    ),
+                    None => assign_border(
+                        points,
+                        metric,
+                        net,
+                        &adj,
+                        fragments,
+                        frag_radius,
+                        cluster_of_center,
+                        pi,
+                        eps,
+                        &cfg.pruning,
+                        &mut scratch,
+                        &mut ps,
+                    ),
                 }
             })
-            .collect()
-    } else {
-        // Parallel over centers, weighted by fragment size (construction
-        // cost is superlinear in the fragment, so even splits by row
-        // count would starve some workers). Small core sets build
-        // sequentially — a few microseconds of tree work never pays for
-        // a spawn.
-        let tree_threads = if fragments.total_len() >= 2 * STEP_MIN_PER_THREAD {
-            threads
-        } else {
-            1
-        };
-        let ranges = split_weighted(k, tree_threads, |e| fragments.row_len(e));
-        par_map_ranges(ranges, |rows| {
-            rows.map(|e| {
-                let frag = fragments.row(e);
-                (!frag.is_empty()).then(|| {
-                    CoverTree::from_indices(points, metric, frag.iter().map(|&p| p as usize))
-                })
-            })
-            .collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect()
-    };
+            .collect();
+        (labels, ps, cs)
+    });
+    let mut labels = Vec::with_capacity(n);
+    for (chunk, ps, cs) in chunks {
+        labels.extend(chunk);
+        stats.pruning.merge(&ps);
+        stats.candidates.merge(&cs);
+    }
+    stats.assign_evals = tick() - evals_before;
+    stats.assign_secs = t.elapsed().as_secs_f64();
+
+    // Hand freshly computed artifacts back for caching — only when the
+    // run used the dense shortcut, which keeps `dense_cores` meaningful.
+    let fresh_artifacts = (reuse.artifacts.is_none() && cfg.dense_shortcut).then(|| {
+        let (fragments, frag_radius) = frag_local.expect("computed when reuse is None");
+        StepArtifacts {
+            is_core: is_core_local.expect("computed when reuse is None"),
+            dense_cores: stats.dense_cores,
+            fragments,
+            frag_radius,
+            components: components_local,
+        }
+    });
+
+    StepsOutcome {
+        labels,
+        stats,
+        fresh_artifacts,
+        adjacency: adj,
+    }
+}
+
+/// Step 2 proper: unions the fragments of neighboring balls whose BCP
+/// is within `eps` and returns each center's component id.
+///
+/// Candidate fragment pairs come in (e, e') lexicographic order — the
+/// same order the sequential loop tests them in — each carrying its
+/// distance-free verdict from the adjacency's center-pair bounds:
+/// `ub + r_e + r_e' ≤ ε` merges without a BCP test (every cross pair
+/// is within ε), `lb − r_e − r_e' > ε` discards the candidate entirely
+/// (no cross pair can reach ε). Survivors keep the edge's lower bound:
+/// inside the BCP test it anchors each *probe point* individually (its
+/// recorded `dis(p, c_p)` sharpens the whole-fragment slack), skipping
+/// probes that provably cannot reach any host member.
+#[allow(clippy::too_many_arguments)] // internal driver, mirrors run_steps_inner
+fn merge_fragments<P: Sync, M: BatchMetric<P> + Sync>(
+    points: &[P],
+    metric: &M,
+    net: &NetView<'_>,
+    adj: &CenterAdjacency,
+    fragments: &Csr,
+    frag_radius: &[f64],
+    eps: f64,
+    cfg: &ExactConfig,
+    stats: &mut StepsStats,
+) -> Vec<u32> {
+    let k = net.num_centers();
+    let threads = cfg.parallel.threads();
     let mut uf = UnionFind::new(k);
-    // Candidate fragment pairs in (e, e') lexicographic order — the same
-    // order the sequential loop tests them in — each carrying its
-    // distance-free verdict from the adjacency's center-pair bounds:
-    // `ub + r_e + r_e' ≤ ε` merges without a BCP test (every cross pair
-    // is within ε), `lb − r_e − r_e' > ε` discards the candidate
-    // entirely (no cross pair can reach ε). Survivors keep the edge's
-    // lower bound: inside the BCP test it anchors each *probe point*
-    // individually (its cached `dis(p, c_p)` sharpens the whole-fragment
-    // slack), skipping tree queries for probes that provably cannot
-    // reach any host member.
     let mut candidates: Vec<(u32, u32, bool, f64)> = Vec::new();
     for e in 0..k {
         if fragments.row_len(e) == 0 {
@@ -668,9 +656,26 @@ fn run_steps_inner<P: Sync, M: BatchMetric<P> + Sync>(
         }
     }
     let probe_rejects = AtomicU64::new(0);
+    let bcp = |e: usize, e2: usize, lb: f64, buf: &mut Vec<f64>| {
+        bcp_within(
+            points,
+            metric,
+            net,
+            fragments,
+            frag_radius,
+            e,
+            e2,
+            eps,
+            lb,
+            cfg,
+            &probe_rejects,
+            buf,
+        )
+    };
     if threads <= 1 {
         // Classic sequential interleaving: test, union, and let fresh
         // connectivity skip later pairs immediately.
+        let mut buf = Vec::new();
         for &(e, e2, free, lb) in &candidates {
             let (e, e2) = (e as usize, e2 as usize);
             if cfg.early_termination && uf.connected(e, e2) {
@@ -682,20 +687,7 @@ fn run_steps_inner<P: Sync, M: BatchMetric<P> + Sync>(
                 continue;
             }
             stats.bcp_tests += 1;
-            if bcp_within(
-                points,
-                metric,
-                net,
-                fragments,
-                frag_radius,
-                &trees,
-                e,
-                e2,
-                eps,
-                lb,
-                cfg,
-                &probe_rejects,
-            ) {
+            if bcp(e, e2, lb, &mut buf) {
                 stats.bcp_connected += 1;
                 uf.union(e, e2);
             }
@@ -743,110 +735,14 @@ fn run_steps_inner<P: Sync, M: BatchMetric<P> + Sync>(
                     .binary_search_by_key(&(e as u32, e2 as u32), |&(a, b, _)| (a, b))
                     .map(|i| edge_lb[i].2)
                     .unwrap_or(0.0);
-                bcp_within(
-                    points,
-                    metric,
-                    net,
-                    fragments,
-                    frag_radius,
-                    &trees,
-                    e,
-                    e2,
-                    eps,
-                    lb,
-                    cfg,
-                    &probe_rejects,
-                )
+                bcp(e, e2, lb, &mut Vec::new())
             },
         );
         stats.bcp_tests = tested;
         stats.bcp_connected = connected + free_connected;
     }
     stats.pruning.probe_rejects += probe_rejects.load(Ordering::Relaxed);
-    stats.merge_evals = tick() - evals_before;
-    stats.merge_secs = t.elapsed().as_secs_f64();
-
-    // ---- Step 3: borders and outliers, parallel over points ----
-    let t = Instant::now();
-    let evals_before = tick();
-    let cluster_of_center = uf.component_ids();
-    let w = worker_count(threads, n, STEP_MIN_PER_THREAD);
-    let chunks = par_map_ranges(split_even(n, w), |r| {
-        let mut ps = PruneStats::default();
-        let mut cs = CandidateStats::default();
-        let mut scratch = AnchorScratch::default();
-        let labels: Vec<PointLabel> = r
-            .map(|pi| {
-                if is_core[pi] {
-                    let e = net.assignment[pi] as usize;
-                    return PointLabel::Core(cluster_of_center[e]);
-                }
-                match grid {
-                    Some(g) => assign_border_grid(
-                        points,
-                        metric,
-                        net,
-                        g,
-                        is_core,
-                        &cluster_of_center,
-                        pi,
-                        eps,
-                        &mut cs,
-                    ),
-                    None => assign_border(
-                        points,
-                        metric,
-                        net,
-                        &adj,
-                        fragments,
-                        frag_radius,
-                        &trees,
-                        &cluster_of_center,
-                        pi,
-                        eps,
-                        &cfg.pruning,
-                        &mut scratch,
-                        &mut ps,
-                    ),
-                }
-            })
-            .collect();
-        (labels, ps, cs)
-    });
-    let mut labels = Vec::with_capacity(n);
-    for (chunk, ps, cs) in chunks {
-        labels.extend(chunk);
-        stats.pruning.merge(&ps);
-        stats.candidates.merge(&cs);
-    }
-    stats.assign_evals = tick() - evals_before;
-    stats.assign_secs = t.elapsed().as_secs_f64();
-
-    // Hand freshly computed artifacts back for caching — only when the
-    // run matches the cacheable defaults (the dense shortcut keeps
-    // `dense_cores` meaningful, the trees only exist under
-    // `cover_tree_merge`).
-    let fresh_artifacts = (reuse.artifacts.is_none() && cfg.dense_shortcut && cfg.cover_tree_merge)
-        .then(|| {
-            let (fragments, frag_radius) = frag_local.expect("computed when reuse is None");
-            StepArtifacts {
-                is_core: is_core_local.expect("computed when reuse is None"),
-                dense_cores: stats.dense_cores,
-                fragments,
-                frag_radius,
-                skeletons: trees
-                    .into_iter()
-                    .map(|t| t.map(CoverTree::into_skeleton))
-                    .collect(),
-            }
-        });
-
-    StepsOutcome {
-        labels,
-        stats,
-        fresh_artifacts,
-        adjacency: adj,
-    }
+    uf.component_ids()
 }
 
 /// Reusable per-worker buffers for the anchored scans: the neighbor
@@ -867,10 +763,10 @@ impl AnchorScratch {
     /// caller walks `row` again with the same gate, consuming
     /// `self.anchors` in order.
     ///
-    /// `own` short-circuits the point's **own** center: the net already
-    /// stores `dis(p, c_p)` exactly, so when center position `own.0`
-    /// shows up in the row its slot is filled with `own.1` instead of
-    /// spending an evaluation on a distance we hold.
+    /// The point's **own** center is short-circuited: the net already
+    /// stores `dis(p, c_p)` exactly, so when `p`'s center shows up in
+    /// the row its slot is filled from the record instead of spending
+    /// an evaluation on a distance we hold.
     #[allow(clippy::too_many_arguments)] // per-worker hot-loop helper
     pub(crate) fn anchor_rows<P, M: BatchMetric<P>>(
         &mut self,
@@ -880,7 +776,6 @@ impl AnchorScratch {
         row: &[u32],
         group_len: impl Fn(usize) -> usize,
         p: usize,
-        own: Option<(u32, f64)>,
         pruning: &PruningConfig,
         ps: &mut PruneStats,
     ) {
@@ -890,14 +785,12 @@ impl AnchorScratch {
         if !pruning.enabled {
             return;
         }
+        let own = net.assignment[p];
         for &e2 in row {
             if group_len(e2 as usize) >= pruning.min_anchor_group {
-                match own {
-                    Some((oe, _)) if oe == e2 => self.own_slots.push(true),
-                    _ => {
-                        self.own_slots.push(false);
-                        self.ids.push(net.centers[e2 as usize] as u32);
-                    }
+                self.own_slots.push(e2 == own);
+                if e2 != own {
+                    self.ids.push(net.centers[e2 as usize] as u32);
                 }
             }
         }
@@ -910,7 +803,7 @@ impl AnchorScratch {
         let mut cursor = 0usize;
         for &is_own in &self.own_slots {
             if is_own {
-                self.anchors.push(own.expect("own slot recorded").1);
+                self.anchors.push(net.dist_to_center[p]);
             } else {
                 self.anchors.push(self.evals[cursor]);
                 cursor += 1;
@@ -950,64 +843,34 @@ pub(crate) fn count_neighbors_capped<P, M: BatchMetric<P>>(
     for &e2 in row {
         let e2 = e2 as usize;
         let cover = net.cover_sets.row(e2);
-        let anchor = if pruning.enabled && cover.len() >= pruning.min_anchor_group {
-            Some(match net.dist_to_center {
-                // The own ball's anchor is already on record.
-                Some(d2c) if e2 == e => d2c[p],
-                _ => {
-                    ps.anchor_evals += 1;
-                    metric.distance(&points[p], &points[net.centers[e2]])
+        if pruning.enabled && cover.len() >= pruning.min_anchor_group {
+            // The own ball's anchor is already on record.
+            let a = if e2 == e {
+                net.dist_to_center[p]
+            } else {
+                ps.anchor_evals += 1;
+                metric.distance(&points[p], &points[net.centers[e2]])
+            };
+            for &q in cover {
+                let dq = net.dist_to_center[q as usize];
+                if a + dq <= eps {
+                    ps.bound_accepts += 1;
+                    count += 1;
+                } else if (a - dq).abs() > eps {
+                    ps.bound_rejects += 1;
+                } else if metric.within(&points[p], &points[q as usize], eps) {
+                    count += 1;
                 }
-            })
+                if count >= cap {
+                    return count;
+                }
+            }
         } else {
-            None
-        };
-        match (anchor, net.dist_to_center) {
-            (Some(a), Some(d2c)) => {
-                for &q in cover {
-                    let dq = d2c[q as usize];
-                    if a + dq <= eps {
-                        ps.bound_accepts += 1;
-                        count += 1;
-                    } else if (a - dq).abs() > eps {
-                        ps.bound_rejects += 1;
-                    } else if metric.within(&points[p], &points[q as usize], eps) {
-                        count += 1;
-                    }
+            for &q in cover {
+                if metric.within(&points[p], &points[q as usize], eps) {
+                    count += 1;
                     if count >= cap {
                         return count;
-                    }
-                }
-            }
-            (Some(a), None) => {
-                // Only the covering radius bounds dis(q, c): whole-group
-                // decisions at `r̄` granularity.
-                if a + net.rbar <= eps {
-                    ps.bound_accepts += cover.len() as u64;
-                    count += cover.len();
-                    if count >= cap {
-                        return count;
-                    }
-                } else if a - net.rbar > eps {
-                    ps.bound_rejects += cover.len() as u64;
-                } else {
-                    for &q in cover {
-                        if metric.within(&points[p], &points[q as usize], eps) {
-                            count += 1;
-                            if count >= cap {
-                                return count;
-                            }
-                        }
-                    }
-                }
-            }
-            (None, _) => {
-                for &q in cover {
-                    if metric.within(&points[p], &points[q as usize], eps) {
-                        count += 1;
-                        if count >= cap {
-                            return count;
-                        }
                     }
                 }
             }
@@ -1028,7 +891,6 @@ fn assign_border<P, M: BatchMetric<P>>(
     adj: &CenterAdjacency,
     fragments: &Csr,
     frag_radius: &[f64],
-    trees: &[Option<CoverTree<'_, P, M>>],
     cluster_of_center: &[u32],
     pi: usize,
     eps: f64,
@@ -1036,9 +898,7 @@ fn assign_border<P, M: BatchMetric<P>>(
     scratch: &mut AnchorScratch,
     ps: &mut PruneStats,
 ) -> PointLabel {
-    let e = net.assignment[pi] as usize;
-    let row = adj.neighbors.row(e);
-    let own = net.dist_to_center.map(|d2c| (e as u32, d2c[pi]));
+    let row = adj.neighbors.row(net.assignment[pi] as usize);
     scratch.anchor_rows(
         points,
         metric,
@@ -1046,7 +906,6 @@ fn assign_border<P, M: BatchMetric<P>>(
         row,
         |e2| fragments.row_len(e2),
         pi,
-        own,
         pruning,
         ps,
     );
@@ -1074,26 +933,16 @@ fn assign_border<P, M: BatchMetric<P>>(
                 continue;
             }
         }
-        if let Some(tree) = &trees[e2] {
-            if let Some(nn) = tree.nearest_within(&points[pi], bound) {
-                if best.is_none_or(|(d, _)| nn.distance < d) {
-                    best = Some((nn.distance, e2));
+        for &q in frag {
+            if let Some(a) = anchor {
+                if (a - net.dist_to_center[q as usize]).abs() > bound {
+                    ps.bound_rejects += 1;
+                    continue;
                 }
             }
-        } else {
-            let d2c = net.dist_to_center;
-            for &q in frag {
-                if let (Some(a), Some(d2c)) = (anchor, d2c) {
-                    let dq = d2c[q as usize];
-                    if (a - dq).abs() > bound {
-                        ps.bound_rejects += 1;
-                        continue;
-                    }
-                }
-                if let Some(d) = metric.distance_leq(&points[pi], &points[q as usize], bound) {
-                    if best.is_none_or(|(bd, _)| d < bd) {
-                        best = Some((d, e2));
-                    }
+            if let Some(d) = metric.distance_leq(&points[pi], &points[q as usize], bound) {
+                if best.is_none_or(|(bd, _)| d < bd) {
+                    best = Some((d, e2));
                 }
             }
         }
@@ -1162,20 +1011,22 @@ fn assign_border_grid<P, M: BatchMetric<P>>(
     }
 }
 
-/// Is `BCP(C̃_e, C̃_{e'}) ≤ eps`? Queries come from the smaller fragment
-/// against the larger fragment's cover tree; early termination returns at
-/// the first witness. Pure (no shared state beyond the relaxed
-/// probe-reject counter), so Step 2 batches may run it concurrently.
+/// Is `BCP(C̃_e, C̃_{e'}) ≤ eps`? Each probe point of the smaller
+/// fragment scans the larger (host) fragment with one batched
+/// [`BatchMetric::dist_many_within`] call; early termination returns at
+/// the first probe with a witness. Pure (no shared state beyond the
+/// relaxed probe-reject counter; `buf` is the caller's scratch), so
+/// Step 2 batches may run it concurrently.
 ///
 /// Each probe point `q` is anchored against the **host center** before
-/// any tree query: with `lb` a sound lower bound on
-/// `dis(c_probe, c_host)` (recorded by the adjacency), the triangle
-/// inequality gives `dis(q, m) ≥ lb − dis(q, c_q) − r_host` for every
-/// host member `m` — and both `dis(q, c_q)` (the net's stored anchor)
-/// and `r_host` (the fragment radius) are already on record, so the
-/// whole probe is skipped without a single evaluation when that bound
-/// exceeds `eps`. Skipped probes provably contribute no witness pair,
-/// so the BCP verdict — and the labels — are unchanged.
+/// its scan: with `lb` a sound lower bound on `dis(c_probe, c_host)`
+/// (recorded by the adjacency), the triangle inequality gives
+/// `dis(q, m) ≥ lb − dis(q, c_q) − r_host` for every host member `m` —
+/// and both `dis(q, c_q)` (the net's stored anchor) and `r_host` (the
+/// fragment radius) are already on record, so the whole probe is
+/// skipped without a single evaluation when that bound exceeds `eps`.
+/// Skipped probes provably contribute no witness pair, so the BCP
+/// verdict — and the labels — are unchanged.
 #[allow(clippy::too_many_arguments)] // mirrors the paper's Step 2 signature
 fn bcp_within<P, M: BatchMetric<P>>(
     points: &[P],
@@ -1183,74 +1034,35 @@ fn bcp_within<P, M: BatchMetric<P>>(
     net: &NetView<'_>,
     fragments: &Csr,
     frag_radius: &[f64],
-    trees: &[Option<CoverTree<'_, P, M>>],
     e: usize,
     e2: usize,
     eps: f64,
     lb: f64,
     cfg: &ExactConfig,
     probe_rejects: &AtomicU64,
+    buf: &mut Vec<f64>,
 ) -> bool {
-    // Query from the smaller side.
+    // Probe from the smaller side.
     let (host, probe) = if fragments.row_len(e) >= fragments.row_len(e2) {
         (e, e2)
     } else {
         (e2, e)
     };
-    let probe_row = fragments.row(probe);
-    let d2c = if cfg.pruning.enabled {
-        net.dist_to_center
-    } else {
-        None
-    };
+    let host_row = fragments.row(host);
     let host_radius = frag_radius[host];
-    let live = |q: u32| -> bool {
-        if let Some(d2c) = d2c {
-            if lb - d2c[q as usize] - host_radius > eps {
-                probe_rejects.fetch_add(1, Ordering::Relaxed);
-                return false;
+    let mut connected = false;
+    for &q in fragments.row(probe) {
+        if cfg.pruning.enabled && lb - net.dist_to_center[q as usize] - host_radius > eps {
+            probe_rejects.fetch_add(1, Ordering::Relaxed);
+            continue;
+        }
+        metric.dist_many_within(points, &points[q as usize], host_row, eps, buf);
+        if buf.iter().any(|&d| d <= eps) {
+            connected = true;
+            if cfg.early_termination {
+                break;
             }
         }
-        true
-    };
-    if let Some(tree) = &trees[host] {
-        if cfg.early_termination {
-            probe_row
-                .iter()
-                .any(|&q| live(q) && tree.any_within(&points[q as usize], eps).is_some())
-        } else {
-            // Full BCP via exact NN per probe point (ablation mode).
-            // Anchored-out probes cannot reach eps, so dropping them
-            // never flips the `bcp <= eps` verdict.
-            let mut bcp = f64::INFINITY;
-            for &q in probe_row {
-                if !live(q) {
-                    continue;
-                }
-                if let Some(nn) = tree.nearest(&points[q as usize]) {
-                    bcp = bcp.min(nn.distance);
-                }
-            }
-            bcp <= eps
-        }
-    } else if cfg.early_termination {
-        probe_row.iter().any(|&q| {
-            live(q)
-                && fragments
-                    .row(host)
-                    .iter()
-                    .any(|&r| metric.within(&points[q as usize], &points[r as usize], eps))
-        })
-    } else {
-        let mut bcp = f64::INFINITY;
-        for &q in probe_row {
-            if !live(q) {
-                continue;
-            }
-            for &r in fragments.row(host) {
-                bcp = bcp.min(metric.distance(&points[q as usize], &points[r as usize]));
-            }
-        }
-        bcp <= eps
     }
+    connected
 }

@@ -15,10 +15,12 @@
 //! Claim 1). The paper uses cover trees in two places:
 //!
 //! 1. **Step 2 of exact DBSCAN (§3.1)**: a tree per core-point group `C̃_e`
-//!    answers bichromatic-closest-pair queries between neighboring groups —
-//!    here via [`CoverTree::any_within`], which terminates as soon as *any*
-//!    witness pair `≤ ε` is found (Step 2 only needs the predicate, not the
-//!    exact BCP value).
+//!    answers bichromatic-closest-pair queries between neighboring groups
+//!    ([`CoverTree::any_within`] stops at the first witness pair `≤ ε`).
+//!    This is the worst-case device of Lemma 5; the engine's Step 2 scans
+//!    the fragments with batched distance kernels instead, because
+//!    building the trees cost more than they saved once net-anchored
+//!    pruning settles most pairs.
 //! 2. **The §3.2 variant**: when the *whole* input has low doubling
 //!    dimension, the `ε/2`-net that Algorithm 1 would build is read off a
 //!    tree level instead ([`CoverTree::extract_net`]).

@@ -1,5 +1,5 @@
 //! Byte codec for [`CoverTreeSkeleton`] — what lets a cached §3.2 tree
-//! (whole-input or per-fragment) survive a process restart and
+//! survive a process restart and
 //! re-attach to its point slice with **zero distance evaluations**,
 //! exactly like the in-memory skeleton cache it serializes.
 

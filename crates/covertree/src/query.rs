@@ -145,9 +145,9 @@ impl<'a, P, M: Metric<P>> CoverTree<'a, P, M> {
     /// Returns some stored point within `radius` of `query` as soon as one
     /// is found, or `None` if none exists.
     ///
-    /// This is the predicate behind the paper's Step 2: deciding whether
-    /// `BCP(C̃_e, C̃_e') ≤ ε` does not require the exact closest pair, so
-    /// the traversal aborts on the first witness.
+    /// This is the predicate of the paper's Step 2 (Lemma 5): deciding
+    /// whether `BCP(C̃_e, C̃_e') ≤ ε` does not require the exact closest
+    /// pair, so the traversal aborts on the first witness.
     pub fn any_within(&self, query: &P, radius: f64) -> Option<Neighbor> {
         let mut found: Option<Neighbor> = None;
         self.descend(query, radius, |_base, node, d| {

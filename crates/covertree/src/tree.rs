@@ -39,7 +39,7 @@ pub(crate) struct Node {
 /// indices, levels, child links) without the point slice or metric.
 ///
 /// A skeleton is what a long-lived owner (e.g. a clustering engine that
-/// caches per-fragment trees across queries) stores: detach it with
+/// caches its whole-input tree per epoch) stores: detach it with
 /// [`CoverTree::into_skeleton`], keep it as long as the backing point
 /// slice stays unchanged, and re-attach with [`CoverTree::from_skeleton`]
 /// — re-attachment performs **zero distance evaluations**, which is the
@@ -66,13 +66,6 @@ impl CoverTreeSkeleton {
         self.len == 0
     }
 
-    /// Largest point index stored anywhere in the skeleton, or `None`
-    /// when it is empty — what a loader bounds a candidate point slice
-    /// against before re-attaching.
-    pub fn max_point_index(&self) -> Option<u32> {
-        (!self.nodes.is_empty()).then_some(self.max_index)
-    }
-
     /// Approximate heap footprint in bytes (node records + link lists) —
     /// what an LRU over skeletons accounts against its budget.
     pub fn heap_bytes(&self) -> usize {
@@ -88,8 +81,8 @@ impl CoverTreeSkeleton {
 /// A cover tree over a borrowed point slice.
 ///
 /// The tree stores indices into `points`; it never copies points. Build a
-/// tree over a subset with [`CoverTree::from_indices`] (used by DBSCAN
-/// Step 2, which indexes each core group `C̃_e` separately).
+/// tree over a subset with [`CoverTree::from_indices`] (the paper's Step 2
+/// indexes each core group `C̃_e` separately).
 ///
 /// ```
 /// use mdbscan_covertree::CoverTree;

@@ -82,10 +82,10 @@ pub struct PruneStats {
     /// Candidate pairs rejected without evaluation: the triangle lower
     /// bound already exceeded the threshold.
     pub bound_rejects: u64,
-    /// Step-2 probe points skipped without a fragment tree query: the
-    /// probe's cached `dis(p, c_p)` anchored against the host fragment's
-    /// center-pair lower bound proved no host member can be within the
-    /// threshold. Entirely free — both ingredients were already on
+    /// Step-2 probe points skipped without scanning the host fragment:
+    /// the probe's recorded `dis(p, c_p)` anchored against the host
+    /// fragment's center-pair lower bound proved no host member can be
+    /// within the threshold. Entirely free — both ingredients were already on
     /// record, so no anchor evaluation is charged for these.
     pub probe_rejects: u64,
     /// Anchor distances evaluated to obtain the bounds (the overhead
@@ -95,8 +95,7 @@ pub struct PruneStats {
 
 impl PruneStats {
     /// Net distance evaluations avoided: pairs decided for free (each
-    /// skipped probe saves at least the one evaluation its tree query
-    /// would open with) minus the anchors paid for the bounds
+    /// skipped probe saves at least one evaluation of its host scan) minus the anchors paid for the bounds
     /// (saturating at zero — a run where anchoring did not pay off
     /// reports 0, not a negative).
     pub fn distance_evals_saved(&self) -> u64 {

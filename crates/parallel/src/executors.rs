@@ -68,7 +68,7 @@ pub fn worker_count(threads: usize, n: usize, min_per_thread: usize) -> usize {
 /// Splits `0..n` into at most `parts` contiguous ranges of roughly
 /// equal **total weight** (`weight(i)` per index). Used where per-index
 /// cost is skewed — e.g. upper-triangle adjacency rows (row `i` costs
-/// `n - i - 1`) or per-fragment cover-tree builds.
+/// `n - i - 1`).
 pub fn split_weighted(
     n: usize,
     parts: usize,

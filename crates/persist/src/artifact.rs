@@ -96,55 +96,53 @@ impl ArtifactWriter {
     /// Serializes the artifact: header (with its own CRC) followed by
     /// each section framed as name + length + CRC + payload, with pad
     /// sections interleaved so aligned sections land on 8-byte payload
-    /// offsets.
+    /// offsets. The output buffer is sized up front and each payload is
+    /// copied into it once.
     pub fn to_bytes(&self) -> Vec<u8> {
         // Frame sizes are fully determined up front, so the pad layout
-        // (and therefore the section count in the header) can be
-        // computed before anything is written. `str` costs 4 + bytes.
+        // (and therefore the section count in the header and the total
+        // size) can be computed before anything is written. `str` costs
+        // 4 + bytes.
+        const ZEROS: [u8; 8] = [0; 8];
         let frame_len = |name: &str| 4 + name.len() + 8 + 4; // name + u64 len + u32 crc
         let header_len =
             MAGIC.len() + 4 + 1 + 4 + self.point_tag.len() + 4 + self.metric_tag.len() + 4;
-        let mut emitted: Vec<(&str, std::borrow::Cow<'_, [u8]>)> = Vec::new();
+        let mut emitted: Vec<(&str, &[u8])> = Vec::new();
         let mut off = header_len + 4; // the header CRC precedes the first frame
         for (name, payload, aligned) in &self.sections {
             if *aligned && !(off + frame_len(name)).is_multiple_of(8) {
                 let pad = (8 - (off + frame_len(PAD_SECTION) + frame_len(name)) % 8) % 8;
-                emitted.push((PAD_SECTION, std::borrow::Cow::Owned(vec![0u8; pad])));
+                emitted.push((PAD_SECTION, &ZEROS[..pad]));
                 off += frame_len(PAD_SECTION) + pad;
             }
-            emitted.push((name, std::borrow::Cow::Borrowed(payload.as_slice())));
+            emitted.push((name, payload.as_slice()));
             off += frame_len(name) + payload.len();
         }
 
-        let mut header = ByteWriter::new();
-        header.put_bytes(MAGIC);
-        header.put_u32(FORMAT_VERSION);
-        header.put_u8(self.kind.to_byte());
-        header.put_str(&self.point_tag);
-        header.put_str(&self.metric_tag);
-        header.put_u32(emitted.len() as u32);
-        debug_assert_eq!(header.len(), header_len);
-        let header_crc = crc32(header.as_slice());
-
-        let mut out = header.into_bytes();
-        let mut w = ByteWriter::new();
-        w.put_u32(header_crc);
+        let mut w = ByteWriter::with_capacity(off);
+        w.put_bytes(MAGIC);
+        w.put_u32(FORMAT_VERSION);
+        w.put_u8(self.kind.to_byte());
+        w.put_str(&self.point_tag);
+        w.put_str(&self.metric_tag);
+        w.put_u32(emitted.len() as u32);
+        debug_assert_eq!(w.len(), header_len);
+        w.put_u32(crc32(w.as_slice()));
         for (name, payload) in &emitted {
             // The section CRC covers the frame (name + length) *and*
             // the payload, so a corrupted name or length fails typed
             // instead of silently dropping an optional section.
-            let mut frame = ByteWriter::new();
-            frame.put_str(name);
-            frame.put_u64(payload.len() as u64);
+            let frame_start = w.len();
+            w.put_str(name);
+            w.put_u64(payload.len() as u64);
             let mut crc = Crc32::new();
-            crc.update(frame.as_slice());
+            crc.update(&w.as_slice()[frame_start..]);
             crc.update(payload);
-            w.put_bytes(frame.as_slice());
             w.put_u32(crc.finish());
             w.put_bytes(payload);
         }
-        out.extend_from_slice(w.as_slice());
-        out
+        debug_assert_eq!(w.len(), off);
+        w.into_bytes()
     }
 
     /// Serializes and writes the artifact to `path` crash-consistently

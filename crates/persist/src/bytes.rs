@@ -18,6 +18,14 @@ impl ByteWriter {
         Self::default()
     }
 
+    /// An empty buffer with room for `capacity` bytes, for writers that
+    /// know their total size up front.
+    pub fn with_capacity(capacity: usize) -> Self {
+        Self {
+            buf: Vec::with_capacity(capacity),
+        }
+    }
+
     /// Bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()

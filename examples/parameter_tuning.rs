@@ -1,9 +1,9 @@
 //! Parameter tuning on a shared engine (Remark 5/6): Algorithm 1 runs
 //! once; every `(ε, MinPts)` probe afterwards only pays the cheap steps.
 //! Table 2 of the paper measures the pre-processing at 60–99 % of total
-//! runtime — this example shows the saving directly, plus the PR-2
-//! fragment-tree LRU: *repeating* a setting replays the cached Step-1/2
-//! artifacts and gets cheaper still.
+//! runtime — this example shows the saving directly, plus the engine's
+//! Step-1/2 LRU: *repeating* a setting replays the cached core flags,
+//! fragments and Step 2's answer, so only Step 3 runs.
 //!
 //! ```sh
 //! cargo run --release --example parameter_tuning
@@ -47,7 +47,7 @@ fn main() {
     );
 
     println!("\neps\tminpts\tclusters\tnoise\tsolve_ms\tcache");
-    // Sweep the grid twice: the second pass hits the fragment-tree LRU.
+    // Sweep the grid twice: the second pass hits the Step-1/2 LRU.
     for pass in 0..2 {
         if pass == 1 {
             println!("# second pass over the same grid (LRU warm)");

@@ -12,12 +12,13 @@
 //!   (§3.1 and the §3.2 cover-tree variant), ρ-approximate DBSCAN
 //!   (Algorithm 2), and the 3-pass streaming engine (Algorithm 3). Build
 //!   once, probe `(ε, MinPts, ρ)` forever (Remark 5/6) — with an LRU of
-//!   Step-2 fragment cover trees so *repeated* probes get cheaper still;
+//!   per-parameter Step-1/2 results, so a *repeated* probe runs only
+//!   Step 3;
 //! * [`metric`] — the metric-space substrate (Euclidean/L1/L∞/angular,
 //!   Levenshtein/Hamming, distance-call counting);
-//! * [`covertree`] — the cover-tree index (Beygelzimer et al. 2006),
-//!   including the detachable [`covertree::CoverTreeSkeleton`] the
-//!   engine's caches are built on;
+//! * [`covertree`] — the cover-tree index (Beygelzimer et al. 2006)
+//!   behind the §3.2 solver, with the detachable
+//!   [`covertree::CoverTreeSkeleton`] the engine caches per epoch;
 //! * [`kcenter`] — Gonzalez, radius-guided Gonzalez (Algorithm 1),
 //!   k-center with outliers;
 //! * [`grid`] — the ε-aligned grid index for low-dimensional Euclidean
@@ -78,7 +79,7 @@
 //! let run = engine.exact(&DbscanParams::new(0.5, 5).unwrap()).unwrap();
 //! assert_eq!(run.clustering.num_clusters(), 2);
 //! assert!(run.clustering.labels().last().unwrap().is_noise());
-//! // same parameters again → served from the fragment-tree cache
+//! // same parameters again → served from the Step-1/2 cache
 //! assert!(engine.exact(&DbscanParams::new(0.5, 5).unwrap()).unwrap().report.cache_hit);
 //! ```
 //!

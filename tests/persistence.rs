@@ -22,13 +22,14 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use metric_dbscan::core::{
-    ApproxParams, DbscanError, DbscanParams, MetricDbscan, NetStrategy, PointLabel,
+    ApproxParams, DbscanError, DbscanParams, MetricDbscan, NetStrategy, PointLabel, RunDetail,
 };
 use metric_dbscan::datagen::{blobs, string_clusters, BlobSpec, StringSpec};
 use metric_dbscan::metric::{
     BatchMetric, CountingMetric, Euclidean, Levenshtein, Manhattan, MetricTag, PersistPoint,
     PruningConfig, VectorBlock,
 };
+use metric_dbscan::persist::{ArtifactReader, ArtifactWriter};
 
 fn vector_points() -> Vec<Vec<f64>> {
     blobs(
@@ -404,6 +405,126 @@ fn corruption_and_mismatch_fail_typed() {
     std::fs::write(&path, &valid).unwrap();
     assert!(MetricDbscan::<Vec<f64>, Euclidean>::load(&path, Euclidean).is_ok());
     std::fs::remove_file(&path).unwrap();
+}
+
+/// Rewrites artifact `into` with the sections named in `taken` copied
+/// from artifact `from`. `ArtifactWriter` recomputes every checksum, so
+/// only the decoder's structural checks stand between the splice and a
+/// cache hit.
+fn splice(into: &[u8], from: &[u8], taken: &[&str]) -> Vec<u8> {
+    let dst = ArtifactReader::from_bytes(into).unwrap();
+    let src = ArtifactReader::from_bytes(from).unwrap();
+    let mut w = ArtifactWriter::new(dst.kind(), dst.point_tag(), dst.metric_tag());
+    for name in [
+        "engine",
+        "grid-index",
+        "rp-index",
+        "points",
+        "net",
+        "writer",
+        "deltas",
+        "adjacency-cache",
+        "fragment-cache",
+        "step2-components",
+        "covertree-cache",
+    ] {
+        let art = if taken.contains(&name) { &src } else { &dst };
+        let mut r = art.require_section(name).unwrap();
+        let payload = r.take_bytes(r.remaining()).unwrap();
+        w.section(name).put_bytes(payload);
+    }
+    w.to_bytes()
+}
+
+/// Saves `engine` and returns the artifact bytes.
+fn artifact_bytes<M: BatchMetric<Vec<f64>> + MetricTag>(
+    engine: &MetricDbscan<Vec<f64>, M>,
+    tag: &str,
+) -> Vec<u8> {
+    let path = temp_path(tag);
+    engine.save(&path).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    bytes
+}
+
+fn load_bytes(bytes: &[u8], tag: &str) -> Result<MetricDbscan<Vec<f64>, Euclidean>, DbscanError> {
+    let path = temp_path(tag);
+    std::fs::write(&path, bytes).unwrap();
+    let loaded = MetricDbscan::load(&path, Euclidean);
+    std::fs::remove_file(&path).unwrap();
+    loaded
+}
+
+/// A cached entry computed over another net must not load as a hit on
+/// this one: checksum-valid per-center rows that disagree with the
+/// loaded net's center count fail typed at load (exact and approx
+/// entries), and a cover-tree entry whose rows disagree with the net
+/// extracted at query time is a miss, not an index panic.
+#[test]
+fn cache_entries_from_another_net_are_rejected() {
+    let params = DbscanParams::new(1.6, 5).unwrap();
+    let aparams = ApproxParams::new(1.6, 5, 1.0).unwrap();
+    let build = |points: Vec<Vec<f64>>, rbar: f64| {
+        MetricDbscan::builder(points, Euclidean)
+            .rbar(rbar)
+            .build()
+            .unwrap()
+    };
+    let (coarse, fine) = (build(vector_points(), 0.7), build(vector_points(), 0.3));
+    assert_ne!(coarse.num_centers(), fine.num_centers());
+
+    // The splice itself is sound: a self-splice loads and hits.
+    fine.exact(&params).unwrap();
+    let fine_bytes = artifact_bytes(&fine, "splice_fine");
+    let same = load_bytes(&splice(&fine_bytes, &fine_bytes, &[]), "splice_same").unwrap();
+    assert!(same.exact(&params).unwrap().report.cache_hit);
+
+    coarse.exact(&params).unwrap();
+    let coarse_bytes = artifact_bytes(&coarse, "splice_coarse");
+    let spliced = splice(&fine_bytes, &coarse_bytes, &["fragment-cache"]);
+    match load_bytes(&spliced, "splice_exact").map(|_| ()) {
+        Err(DbscanError::Format { section, .. }) => assert_eq!(section, "fragment-cache"),
+        other => panic!("expected Format, got {other:?}"),
+    }
+
+    for e in [&coarse, &fine] {
+        e.clear_cache();
+        e.approx(&aparams).unwrap();
+    }
+    let spliced = splice(
+        &artifact_bytes(&fine, "splice_fine_approx"),
+        &artifact_bytes(&coarse, "splice_coarse_approx"),
+        &["fragment-cache"],
+    );
+    assert!(matches!(
+        load_bytes(&spliced, "splice_approx"),
+        Err(DbscanError::Format { .. })
+    ));
+
+    // Cover-tree nets depend on the points, not on r̄: scale the input
+    // so the extracted nets differ in size.
+    let scaled: Vec<Vec<f64>> = vector_points()
+        .into_iter()
+        .map(|p| p.iter().map(|x| 3.0 * x).collect())
+        .collect();
+    let (tree_a, tree_b) = (build(vector_points(), 0.5), build(scaled, 0.5));
+    let centers = |run: &metric_dbscan::core::Run| match run.report.detail {
+        RunDetail::CoverTree(s) => s.n_centers,
+        _ => unreachable!("cover-tree run"),
+    };
+    let want = tree_b.covertree(&params).unwrap();
+    assert_ne!(centers(&tree_a.covertree(&params).unwrap()), centers(&want));
+    let spliced = splice(
+        &artifact_bytes(&tree_b, "splice_tree_b"),
+        &artifact_bytes(&tree_a, "splice_tree_a"),
+        &["fragment-cache", "step2-components"],
+    );
+    let loaded = load_bytes(&spliced, "splice_tree").unwrap();
+    assert_eq!(
+        loaded.covertree(&params).unwrap().clustering,
+        want.clustering
+    );
 }
 
 /// The deterministic engine behind the golden fixture: fixed data,
