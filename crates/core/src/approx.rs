@@ -32,7 +32,6 @@ use mdbscan_rp::{RpIndex, RpStats};
 use crate::labels::PointLabel;
 use crate::netview::NetView;
 use crate::params::ApproxParams;
-use crate::parmerge::{batch_size, union_rounds};
 use crate::steps::{count_neighbors_capped, AnchorScratch};
 use crate::unionfind::UnionFind;
 
@@ -62,8 +61,9 @@ pub struct ApproxStats {
     /// (distance-free accepts are not tests; see `pruning`).
     pub merge_pairs_tested: u64,
     /// Triangle-inequality pruning ledger (adjacency + summary + merge +
-    /// labeling). Work counters: thread count and cache hits may shift
-    /// them while labels stay identical.
+    /// labeling). Work counters, the same for every thread count: a
+    /// cache hit skips the phases it replays and counts less, while
+    /// labels stay identical.
     pub pruning: PruneStats,
     /// Grid candidate-generation ledger across the adjacency build, the
     /// core tests, and the labeling scan — all zeros on the generic
@@ -154,9 +154,10 @@ pub(crate) struct ApproxOutcome {
 }
 
 /// Runs Algorithm 2 over a prepared net (`net.rbar ≤ ρε/2` — checked by
-/// the caller). Parallel over the phase's natural unit — centers for
-/// the core tests, summary pairs (round-batched) for the merge, points
-/// for the labeling — with labels identical for every thread count.
+/// the caller). The core tests run parallel over centers and the
+/// labeling over points; the merge inside `S*` is one sequential
+/// union-find pass. Labels and the merge's work are identical for every
+/// thread count.
 pub(crate) fn run_approx<P: Sync, M: BatchMetric<P> + Sync>(
     points: &[P],
     metric: &M,
@@ -367,12 +368,11 @@ pub(crate) fn run_approx<P: Sync, M: BatchMetric<P> + Sync>(
         //   dis(sp_i, sp_j) ∈ [lb − dq_i − dq_j, ub + dq_i + dq_j]
         // decides most pairs against (1+ρ)ε without an evaluation.
         let dq = |sp: u32| net.dist_to_center[sp as usize];
-        // (candidate pair, verdict): Some(true) = free merge,
-        // Some(false) = free discard (handled at generation), None = test.
-        let gen_pairs = |i: usize,
-                         pending: &mut std::collections::VecDeque<(u32, u32)>,
-                         uf: &mut UnionFind,
-                         stats: &mut ApproxStats| {
+        // Per summary point i, in order: the pairs (i, j > i) the bounds
+        // decide are merged or discarded first, then the rest are tested,
+        // skipping pairs already connected.
+        let mut pending: Vec<usize> = Vec::new();
+        for i in 0..summary.len() {
             let cs = net.assignment[summary[i] as usize] as usize;
             let row = adj.neighbors.row(cs);
             let lbs = adj.lbound_row(cs);
@@ -390,79 +390,28 @@ pub(crate) fn run_approx<P: Sync, M: BatchMetric<P> + Sync>(
                             continue;
                         }
                         if ub + slack <= merge_r {
-                            if uf.root(i) != uf.root(j) {
+                            if uf.union(i, j) {
                                 stats.pruning.bound_accepts += 1;
-                                uf.union(i, j);
                             }
                             continue;
                         }
                     }
-                    pending.push_back((i as u32, jpos));
+                    pending.push(j);
                 }
             }
-        };
-        if threads <= 1 {
-            let mut pending = std::collections::VecDeque::new();
-            for i in 0..summary.len() {
-                gen_pairs(i, &mut pending, &mut uf, &mut stats);
-                while let Some((a, b)) = pending.pop_front() {
-                    let (a, b) = (a as usize, b as usize);
-                    if uf.connected(a, b) {
-                        continue;
-                    }
-                    stats.merge_pairs_tested += 1;
-                    if metric.within(
-                        &points[summary[a] as usize],
-                        &points[summary[b] as usize],
-                        merge_r,
-                    ) {
-                        uf.union(a, b);
-                    }
+            for j in pending.drain(..) {
+                if uf.connected(i, j) {
+                    continue;
+                }
+                stats.merge_pairs_tested += 1;
+                if metric.within(
+                    &points[summary[i] as usize],
+                    &points[summary[j] as usize],
+                    merge_r,
+                ) {
+                    uf.union(i, j);
                 }
             }
-        } else {
-            // Round-batched: same candidate order, parallel distance
-            // tests; the final components (and so the labels) are
-            // identical.
-            let batch = batch_size(threads);
-            let mut i_cursor = 0usize;
-            let mut pending: std::collections::VecDeque<(u32, u32)> =
-                std::collections::VecDeque::new();
-            let mut local = ApproxStats::default();
-            let (tested, _) = union_rounds(
-                &mut uf,
-                threads,
-                |uf| {
-                    let mut out = Vec::new();
-                    loop {
-                        while out.len() < batch {
-                            match pending.pop_front() {
-                                Some((i, j)) => {
-                                    if uf.root(i as usize) != uf.root(j as usize) {
-                                        out.push((i, j));
-                                    }
-                                }
-                                None => break,
-                            }
-                        }
-                        if out.len() >= batch || i_cursor >= summary.len() {
-                            return out;
-                        }
-                        let i = i_cursor;
-                        i_cursor += 1;
-                        gen_pairs(i, &mut pending, uf, &mut local);
-                    }
-                },
-                |i, j| {
-                    metric.within(
-                        &points[summary[i] as usize],
-                        &points[summary[j] as usize],
-                        merge_r,
-                    )
-                },
-            );
-            stats.merge_pairs_tested = tested;
-            stats.pruning.merge(&local.pruning);
         }
         let summary_cluster = uf.component_ids();
         stats.merge_secs = t.elapsed().as_secs_f64();

@@ -41,10 +41,11 @@
 //! depends only on the radius bound `r̄`, not on `(ε, MinPts, ρ)`. Build
 //! the engine once with `r̄ ≤ ε₀/2` and solve for as many parameter
 //! settings as you like; only the cheap per-query steps re-run. On top,
-//! the engine keeps an LRU of the `(ε, MinPts)`-derived Step-2 fragment
-//! cover trees, so *repeating* a setting (dashboards, A/B probes,
-//! concurrent users asking the same question) skips Step 1 and all tree
-//! construction — check [`RunReport::cache_hit`]:
+//! the engine keeps an LRU of the `(ε, MinPts)`-derived Step-1/2
+//! results (core flags, fragments and Step 2's component map), so
+//! *repeating* a setting (dashboards, A/B probes, concurrent users
+//! asking the same question) skips Steps 1 and 2 and runs Step 3 only —
+//! check [`RunReport::cache_hit`]:
 //!
 //! ```
 //! use mdbscan_core::{DbscanParams, MetricDbscan};
@@ -80,22 +81,27 @@
 //! | Algorithm 1 sweep + farthest-point reduction | points |
 //! | center adjacency (`A` sets) | upper-triangle center rows |
 //! | Step 1 core labeling / Algorithm 2 core tests | points / centers |
-//! | Step 2 BCP tests / summary merges | candidate pairs, batched per union-find round |
 //! | Step 3 border assignment / Algorithm 2 labeling | points |
 //! | streaming pass 3 | stream blocks |
 //!
 //! Cover-tree construction for the §3.2 variant and streaming passes
 //! 1–2 are inherently sequential (each insert/arrival depends on the
-//! state so far).
+//! state so far). So are the three union-find merges — exact Step 2,
+//! the Algorithm-2 merge inside `S*` and the streaming offline merge:
+//! each tests a candidate pair, unites on success, and skips later pairs
+//! already connected, in one pass.
 //!
 //! **Determinism is unconditional**: chunks are contiguous in index
 //! order, reductions combine per-chunk results in chunk order with ties
-//! broken toward the smaller index, batched merging only skips pairs
-//! already connected, and cached artifacts are deterministic functions
-//! of `(net, ε, MinPts)` — so cluster labels are bit-identical across
+//! broken toward the smaller index, the merges do not depend on the
+//! thread count, and cached artifacts are deterministic functions of
+//! `(net, ε, MinPts)` — so cluster labels are bit-identical across
 //! thread counts, across concurrent engine queries, and across cache
-//! hits vs. cold runs. Only derived counters that measure *work done*
-//! (e.g. [`ExactStats::bcp_tests`]) may differ.
+//! hits vs. cold runs. The work counters of the merges
+//! ([`ExactStats::bcp_tests`], `merge_evals`, `merge_pairs_tested`), the
+//! pruning ledgers and the exact solver's distance evaluations are the
+//! same for every thread count too; only a cache hit, which skips the
+//! phases it replays, counts less.
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
@@ -107,7 +113,6 @@ mod exact_covertree;
 mod labels;
 mod netview;
 mod params;
-mod parmerge;
 mod persist;
 mod steps;
 mod store;
@@ -138,9 +143,10 @@ use mdbscan_kcenter::{BuildOptions, RadiusGuidedNet};
 use mdbscan_metric::BatchMetric;
 
 /// One-shot exact metric DBSCAN (§3.1) over borrowed points: builds the
-/// `ε/2`-net with Algorithm 1, then labels cores, merges via per-group
-/// cover trees, and classifies borders/outliers. See [`MetricDbscan`] to
-/// amortize the net (and the Step-2 trees) across parameter settings.
+/// `ε/2`-net with Algorithm 1, then labels cores, merges the core
+/// fragments of neighboring balls whose closest pair is within `ε`, and
+/// classifies borders/outliers. See [`MetricDbscan`] to amortize the net
+/// (and the Step-1/2 results) across parameter settings.
 pub fn exact_dbscan<P: Sync, M: BatchMetric<P> + Sync>(
     points: &[P],
     metric: &M,

@@ -37,20 +37,20 @@
 //!
 //! # Threading
 //!
-//! Every phase is parallel over its natural unit and deterministic for
-//! any thread count ([`ExactConfig::parallel`]):
+//! The adjacency, Step 1 and Step 3 are parallel over their natural
+//! unit and deterministic for any thread count
+//! ([`ExactConfig::parallel`]):
 //!
 //! * the adjacency parallelizes over upper-triangle center rows;
 //! * Step 1 over points (each point's core test is independent), with
 //!   pruning counters reduced per worker chunk;
-//! * Step 2 batches BCP tests per union-find round — a batch is
-//!   pre-filtered against current connectivity, tested in parallel, and
-//!   unioned in order, preserving the early-termination *semantics*
-//!   (skipped pairs are already-connected pairs) and the final labels
-//!   exactly;
 //! * Step 3 over points again.
+//!
+//! Step 2 is one sequential union-find pass: it tests a pair, unites on
+//! success, and skips every later pair that is already connected. Its
+//! work, like the run's distance evaluations and pruning ledger, is the
+//! same at every thread count.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -62,7 +62,6 @@ use mdbscan_parallel::{par_map_ranges, split_even, worker_count, Csr, ParallelCo
 use crate::labels::PointLabel;
 use crate::netview::NetView;
 use crate::params::DbscanParams;
-use crate::parmerge::{batch_size, union_rounds};
 use crate::unionfind::UnionFind;
 
 /// Points per worker below which Step 1/3 stay sequential.
@@ -87,9 +86,11 @@ pub struct ExactConfig {
     /// or off; only the number of distance evaluations changes. On by
     /// default.
     pub pruning: PruningConfig,
-    /// Worker threads for the adjacency and Steps 1–3. The labels are
-    /// identical for every setting; only wall-clock changes. Defaults to
-    /// the machine's available parallelism.
+    /// Worker threads for the adjacency and Steps 1 and 3 (Step 2 is one
+    /// sequential union-find pass). The labels, the Step-2 counters, the
+    /// distance evaluations and the pruning ledger are identical for
+    /// every setting; only wall-clock changes. Defaults to the machine's
+    /// available parallelism.
     pub parallel: ParallelConfig,
     /// Count distance evaluations into [`StepsStats::distance_evals`]
     /// (and the per-phase `*_evals` fields). Off by default: the counter
@@ -131,19 +132,16 @@ pub struct StepsStats {
     pub assign_secs: f64,
     /// Number of points labeled core by the dense-ball shortcut.
     pub dense_cores: usize,
-    /// Fragment pairs whose BCP was tested. The multi-thread batch
-    /// planner is component-aware (a round never schedules a pair whose
-    /// endpoints an earlier pair of the same round may connect), so this
-    /// never exceeds the 1-thread count — it can come in slightly under
-    /// when a deferred pair resolves before its retry; the resulting
-    /// labels are identical either way.
+    /// Fragment pairs whose BCP was tested: the candidates the
+    /// distance-free bounds left open, less those already connected when
+    /// their turn came. The same for every thread count.
     pub bcp_tests: u64,
     /// Fragment pairs found connected (distance-free accepts included).
     pub bcp_connected: u64,
     /// Triangle-inequality pruning ledger across the adjacency and
     /// Steps 1–3. `bound_*` counters are in candidate *pairs*. Like
-    /// `bcp_tests`, these are work counters — thread count and cache
-    /// hits may shift them while labels stay identical.
+    /// `bcp_tests`, these are work counters: a cache hit skips the phases
+    /// it replays and counts less, while labels stay identical.
     pub pruning: PruneStats,
     /// Distance evaluations across all phases (adjacency + Steps 1–3),
     /// in units of the paper's `t_dis`. Zero unless
@@ -603,17 +601,20 @@ fn run_steps_inner<P: Sync, M: BatchMetric<P> + Sync>(
 /// Step 2 proper: unions the fragments of neighboring balls whose BCP
 /// is within `eps` and returns each center's component id.
 ///
-/// Candidate fragment pairs come in (e, e') lexicographic order — the
-/// same order the sequential loop tests them in — each carrying its
-/// distance-free verdict from the adjacency's center-pair bounds:
-/// `ub + r_e + r_e' ≤ ε` merges without a BCP test (every cross pair
-/// is within ε), `lb − r_e − r_e' > ε` discards the candidate entirely
-/// (no cross pair can reach ε). Survivors keep the edge's lower bound:
-/// inside the BCP test it anchors each *probe point* individually (its
-/// recorded `dis(p, c_p)` sharpens the whole-fragment slack), skipping
-/// probes that provably cannot reach any host member.
+/// Candidate fragment pairs come in (e, e') lexicographic order, each
+/// first judged by the adjacency's center-pair bounds alone:
+/// `ub + r_e + r_e' ≤ ε` merges without a BCP test (every cross pair is
+/// within ε), `lb − r_e − r_e' > ε` discards the candidate entirely (no
+/// cross pair can reach ε). Every free merge is united before the first
+/// BCP test, so the connectivity it brings skips tests. A free merge is
+/// a passing pair, so the components do not depend on when it lands.
+/// The survivors are then tested in order, skipping pairs already
+/// connected. Each keeps its edge's lower bound: inside the BCP test it
+/// anchors each *probe point* individually (its recorded `dis(p, c_p)`
+/// sharpens the whole-fragment slack), skipping probes that provably
+/// cannot reach any host member.
 #[allow(clippy::too_many_arguments)] // internal driver, mirrors run_steps_inner
-fn merge_fragments<P: Sync, M: BatchMetric<P> + Sync>(
+fn merge_fragments<P, M: BatchMetric<P>>(
     points: &[P],
     metric: &M,
     net: &NetView<'_>,
@@ -625,9 +626,8 @@ fn merge_fragments<P: Sync, M: BatchMetric<P> + Sync>(
     stats: &mut StepsStats,
 ) -> Vec<u32> {
     let k = net.num_centers();
-    let threads = cfg.parallel.threads();
     let mut uf = UnionFind::new(k);
-    let mut candidates: Vec<(u32, u32, bool, f64)> = Vec::new();
+    let mut tests: Vec<(u32, u32, f64)> = Vec::new();
     for e in 0..k {
         if fragments.row_len(e) == 0 {
             continue;
@@ -648,16 +648,23 @@ fn merge_fragments<P: Sync, M: BatchMetric<P> + Sync>(
                 }
                 if ub + slack <= eps {
                     stats.pruning.bound_accepts += 1;
-                    candidates.push((e as u32, e2, true, lb));
+                    if uf.union(e, e2u) || !cfg.early_termination {
+                        stats.bcp_connected += 1;
+                    }
                     continue;
                 }
             }
-            candidates.push((e as u32, e2, false, lb));
+            tests.push((e as u32, e2, lb));
         }
     }
-    let probe_rejects = AtomicU64::new(0);
-    let bcp = |e: usize, e2: usize, lb: f64, buf: &mut Vec<f64>| {
-        bcp_within(
+    let mut buf = Vec::new();
+    for &(e, e2, lb) in &tests {
+        let (e, e2) = (e as usize, e2 as usize);
+        if cfg.early_termination && uf.connected(e, e2) {
+            continue;
+        }
+        stats.bcp_tests += 1;
+        if bcp_within(
             points,
             metric,
             net,
@@ -668,80 +675,13 @@ fn merge_fragments<P: Sync, M: BatchMetric<P> + Sync>(
             eps,
             lb,
             cfg,
-            &probe_rejects,
-            buf,
-        )
-    };
-    if threads <= 1 {
-        // Classic sequential interleaving: test, union, and let fresh
-        // connectivity skip later pairs immediately.
-        let mut buf = Vec::new();
-        for &(e, e2, free, lb) in &candidates {
-            let (e, e2) = (e as usize, e2 as usize);
-            if cfg.early_termination && uf.connected(e, e2) {
-                continue;
-            }
-            if free {
-                stats.bcp_connected += 1;
-                uf.union(e, e2);
-                continue;
-            }
-            stats.bcp_tests += 1;
-            if bcp(e, e2, lb, &mut buf) {
-                stats.bcp_connected += 1;
-                uf.union(e, e2);
-            }
+            &mut stats.pruning.probe_rejects,
+            &mut buf,
+        ) {
+            stats.bcp_connected += 1;
+            uf.union(e, e2);
         }
-    } else {
-        let batch = batch_size(threads);
-        let mut cursor = 0usize;
-        let mut free_connected = 0u64;
-        // The parallel test closure only sees (e, e2); recover each
-        // surviving candidate's edge lower bound by binary search —
-        // candidates are generated in (e, e2) lexicographic order, so
-        // the non-free subsequence is already sorted.
-        let edge_lb: Vec<(u32, u32, f64)> = candidates
-            .iter()
-            .filter(|c| !c.2)
-            .map(|&(a, b, _, lb)| (a, b, lb))
-            .collect();
-        debug_assert!(edge_lb
-            .windows(2)
-            .all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)));
-        let (tested, connected) = union_rounds(
-            &mut uf,
-            threads,
-            |uf| {
-                let mut out = Vec::new();
-                while out.len() < batch && cursor < candidates.len() {
-                    let (e, e2, free, _) = candidates[cursor];
-                    cursor += 1;
-                    if cfg.early_termination && uf.root(e as usize) == uf.root(e2 as usize) {
-                        continue;
-                    }
-                    if free {
-                        free_connected += 1;
-                        uf.union(e as usize, e2 as usize);
-                        continue;
-                    }
-                    out.push((e, e2));
-                }
-                out
-            },
-            |e, e2| {
-                // Every tested pair was scheduled from the non-free
-                // candidates, so the search cannot miss.
-                let lb = edge_lb
-                    .binary_search_by_key(&(e as u32, e2 as u32), |&(a, b, _)| (a, b))
-                    .map(|i| edge_lb[i].2)
-                    .unwrap_or(0.0);
-                bcp(e, e2, lb, &mut Vec::new())
-            },
-        );
-        stats.bcp_tests = tested;
-        stats.bcp_connected = connected + free_connected;
     }
-    stats.pruning.probe_rejects += probe_rejects.load(Ordering::Relaxed);
     uf.component_ids()
 }
 
@@ -1014,9 +954,8 @@ fn assign_border_grid<P, M: BatchMetric<P>>(
 /// Is `BCP(C̃_e, C̃_{e'}) ≤ eps`? Each probe point of the smaller
 /// fragment scans the larger (host) fragment with one batched
 /// [`BatchMetric::dist_many_within`] call; early termination returns at
-/// the first probe with a witness. Pure (no shared state beyond the
-/// relaxed probe-reject counter; `buf` is the caller's scratch), so
-/// Step 2 batches may run it concurrently.
+/// the first probe with a witness. Probes skipped by the anchor below
+/// are counted into `probe_rejects`; `buf` is the caller's scratch.
 ///
 /// Each probe point `q` is anchored against the **host center** before
 /// its scan: with `lb` a sound lower bound on `dis(c_probe, c_host)`
@@ -1039,7 +978,7 @@ fn bcp_within<P, M: BatchMetric<P>>(
     eps: f64,
     lb: f64,
     cfg: &ExactConfig,
-    probe_rejects: &AtomicU64,
+    probe_rejects: &mut u64,
     buf: &mut Vec<f64>,
 ) -> bool {
     // Probe from the smaller side.
@@ -1053,7 +992,7 @@ fn bcp_within<P, M: BatchMetric<P>>(
     let mut connected = false;
     for &q in fragments.row(probe) {
         if cfg.pruning.enabled && lb - net.dist_to_center[q as usize] - host_radius > eps {
-            probe_rejects.fetch_add(1, Ordering::Relaxed);
+            *probe_rejects += 1;
             continue;
         }
         metric.dist_many_within(points, &points[q as usize], host_row, eps, buf);

@@ -49,7 +49,6 @@ use mdbscan_rp::{RpIndex, RpStats};
 use crate::error::DbscanError;
 use crate::labels::{Clustering, PointLabel};
 use crate::params::ApproxParams;
-use crate::parmerge::{batch_size, union_rounds};
 use crate::unionfind::UnionFind;
 
 /// Pass-3 labeling buffers this many stream points per parallel block.
@@ -553,86 +552,31 @@ impl<'m, P: Clone + Sync, M: Metric<P> + Sync> StreamingApproxDbscan<'m, P, M> {
             .collect();
         let merge_r = self.params.merge_radius();
         let s = summary_points.len();
-        let threads = self.parallel.threads();
         let pruning_on = self.pruning.enabled;
         let mut uf = UnionFind::new(s);
-        // Pair verdict from the anchors alone: Some(true) = free union,
-        // Some(false) = free skip, None = needs a distance test. The
-        // first summary slot is E[0] itself only if E[0] is core; the
-        // anchors are sound bounds either way (plain triangle
-        // inequality through E[0]).
-        let verdict = |i: usize, j: usize| -> Option<bool> {
-            if !pruning_on {
-                return None;
-            }
-            if (anchors[i] - anchors[j]).abs() > merge_r {
-                self.p_rejects.fetch_add(1, Ordering::Relaxed);
-                return Some(false);
-            }
-            if anchors[i] + anchors[j] <= merge_r {
-                self.p_accepts.fetch_add(1, Ordering::Relaxed);
-                return Some(true);
-            }
-            None
-        };
-        if threads <= 1 {
-            for i in 0..s {
-                for j in (i + 1)..s {
-                    if uf.connected(i, j) {
-                        continue;
-                    }
-                    match verdict(i, j) {
-                        Some(true) => {
-                            uf.union(i, j);
-                        }
-                        Some(false) => {}
-                        None => {
-                            self.stats.merge_pairs_tested += 1;
-                            if self
-                                .metric
-                                .within(&summary_points[i], &summary_points[j], merge_r)
-                            {
-                                uf.union(i, j);
-                            }
-                        }
-                    }
+        // The anchors alone decide most pairs. The first summary slot is
+        // E[0] itself only if E[0] is core; the bounds are sound either
+        // way (plain triangle inequality through E[0]).
+        for i in 0..s {
+            for j in (i + 1)..s {
+                if uf.connected(i, j) {
+                    continue;
+                }
+                let merge = if pruning_on && (anchors[i] - anchors[j]).abs() > merge_r {
+                    *self.p_rejects.get_mut() += 1;
+                    false
+                } else if pruning_on && anchors[i] + anchors[j] <= merge_r {
+                    *self.p_accepts.get_mut() += 1;
+                    true
+                } else {
+                    self.stats.merge_pairs_tested += 1;
+                    self.metric
+                        .within(&summary_points[i], &summary_points[j], merge_r)
+                };
+                if merge {
+                    uf.union(i, j);
                 }
             }
-        } else {
-            // Round-batched all-pairs sweep: same candidate order,
-            // parallel distance tests, identical final components.
-            let batch = batch_size(threads);
-            let mut i = 0usize;
-            let mut j = 1usize;
-            let (tested, _) = union_rounds(
-                &mut uf,
-                threads,
-                |uf| {
-                    let mut out = Vec::new();
-                    while out.len() < batch && i + 1 < s {
-                        if uf.root(i) != uf.root(j) {
-                            match verdict(i, j) {
-                                Some(true) => {
-                                    uf.union(i, j);
-                                }
-                                Some(false) => {}
-                                None => out.push((i as u32, j as u32)),
-                            }
-                        }
-                        j += 1;
-                        if j >= s {
-                            i += 1;
-                            j = i + 1;
-                        }
-                    }
-                    out
-                },
-                |a, b| {
-                    self.metric
-                        .within(&summary_points[a], &summary_points[b], merge_r)
-                },
-            );
-            self.stats.merge_pairs_tested = tested;
         }
         self.summary_clusters = uf.component_ids();
         self.phase = Phase::Pass3;

@@ -71,18 +71,6 @@ impl UnionFind {
         self.find(a) == self.find(b)
     }
 
-    /// Representative of `x`'s set **without** path compression — usable
-    /// through a shared reference, e.g. to pre-filter candidate pairs
-    /// while a batch of parallel tests is in flight. Chains stay short
-    /// because every mutating call goes through the halving [`UnionFind::find`].
-    pub fn root(&self, x: usize) -> usize {
-        let mut x = x as u32;
-        while self.parent[x as usize] != x {
-            x = self.parent[x as usize];
-        }
-        x as usize
-    }
-
     /// Maps each element to a dense component id in `0..components`, in
     /// order of first appearance by element index.
     pub fn component_ids(&mut self) -> Vec<u32> {

@@ -1,11 +1,12 @@
 //! Deterministic data parallelism + flat storage for the metric-DBSCAN
 //! pipeline.
 //!
-//! Every hot phase of the paper's algorithms — the Algorithm-1 distance
-//! sweep, the center adjacency, Step 1 core counting, Step 2 BCP
-//! testing, Step 3 border assignment, and the Algorithm-2 summary /
-//! labeling loops — is embarrassingly parallel over points or centers.
-//! This crate provides the two ingredients those phases share:
+//! The hot phases of the paper's algorithms — the Algorithm-1 distance
+//! sweep, the center adjacency, Step 1 core counting, Step 3 border
+//! assignment, and the Algorithm-2 summary / labeling loops — are
+//! embarrassingly parallel over points or centers. (The union-find
+//! merges, exact Step 2 among them, run as one sequential pass.) This
+//! crate provides the two ingredients those phases share:
 //!
 //! * [`ParallelConfig`] plus a small family of scoped-thread executors
 //!   ([`par_map_range`], [`par_map_ranges`]) and the persistent-worker

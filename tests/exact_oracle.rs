@@ -1,9 +1,6 @@
-//! Differential oracle for the exact solvers: every exact path of the
-//! engine — a cold run, a cache hit, a hit after save/load, a query
-//! after an ingest split on a radius-guided engine, the generic and the
-//! grid candidate paths, and the §3.2 cover-tree solver — must agree
-//! with the original DBSCAN of Ester et al. (`original_dbscan`) on
-//! small adversarial inputs:
+//! Differential oracle for the engine's solvers against the original
+//! DBSCAN of Ester et al. (`original_dbscan`) on small adversarial
+//! inputs:
 //!
 //! * pair distances exactly at ε and one ulp either side of it. Integer
 //!   coordinates keep every axis-aligned distance exact, so ε moves
@@ -12,18 +9,34 @@
 //! * duplicate points, MinPts = 1 and MinPts > n, n ∈ {1, 2}, all noise
 //!   and a single cluster.
 //!
-//! Match rule (the one of `tests/cross_validation.rs`): identical core
-//! flags, noise flags and core partition. In addition, every border
-//! point must have a core of its own cluster within ε.
+//! Every exact path must agree with the oracle: a cold run, a cache
+//! hit, a hit after save/load, a query after an ingest split on a
+//! radius-guided engine, the generic and the grid candidate paths, and
+//! the §3.2 cover-tree solver. The match rule is the one of
+//! `tests/cross_validation.rs`: identical core flags, noise flags and
+//! core partition. In addition, every border point must have a core of
+//! its own cluster within ε.
+//!
+//! Every ρ-approximate path, for ρ ∈ {0.5, 1, 2} on engines built at
+//! `r̄ = ApproxParams::rbar()`, must lie in the sandwich between the
+//! oracle at ε and at `ApproxParams::merge_radius()` (the exact f64 the
+//! solvers merge at), with pruning on and off: generic approx cold, hit,
+//! hit after save/load and after an ingest split, grid approx at d = 2,
+//! and `engine.streaming`.
+//! Every ε-core is clustered, ε-core pairs that share a cluster still
+//! share one, every point marked core is an ε-core, and core pairs that
+//! share a cluster share one in the oracle at the merge radius. The
+//! random-projection index is left out: it gives up the guarantee.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
 
 use metric_dbscan::baselines::original_dbscan;
 use metric_dbscan::core::{
-    CandidateIndex, Clustering, DbscanParams, MetricDbscan, NetStrategy, PointLabel, Run,
+    ApproxParams, CandidateIndex, Clustering, DbscanParams, MetricDbscan, NetStrategy, PointLabel,
+    Run,
 };
-use metric_dbscan::metric::{Euclidean, Metric, VectorBlock};
+use metric_dbscan::metric::{Euclidean, Metric, PruningConfig, VectorBlock};
 use proptest::prelude::*;
 
 /// ε for a planted integer distance `d`: exactly `d`, or one ulp below
@@ -34,6 +47,20 @@ fn eps_at(d: u32, variant: u8) -> f64 {
         0 => d,
         1 => d.next_down(),
         _ => d.next_up(),
+    }
+}
+
+/// ρ from a selector: 0.5, 1 or 2.
+fn rho_at(sel: u8) -> f64 {
+    [0.5, 1.0, 2.0][sel as usize % 3]
+}
+
+/// The engine's pruning from a selector: off, or the default.
+fn pruning_at(sel: u8) -> PruningConfig {
+    if sel == 0 {
+        PruningConfig::off()
+    } else {
+        PruningConfig::default()
     }
 }
 
@@ -91,6 +118,62 @@ fn check<P, M: Metric<P>>(
                 i,
                 c
             );
+        }
+    }
+    Ok(())
+}
+
+/// The ρ-approximate sandwich against the oracle at ε (`lower`) and at
+/// the merge radius (`upper`): every ε-core is clustered, ε-core pairs
+/// that share a cluster still share one, every point marked core is an
+/// ε-core, and core pairs that share a cluster share one in `upper`.
+fn check_sandwich(
+    tag: &str,
+    ours: &Clustering,
+    lower: &Clustering,
+    upper: &Clustering,
+) -> Result<(), TestCaseError> {
+    let n = lower.len();
+    prop_assert_eq!(ours.len(), n, "{}: length", tag);
+    for i in 0..n {
+        if lower.labels()[i].is_core() {
+            prop_assert!(
+                ours.cluster_of(i).is_some(),
+                "{}: ε-core {} unclustered",
+                tag,
+                i
+            );
+        }
+        if ours.labels()[i].is_core() {
+            prop_assert!(lower.labels()[i].is_core(), "{}: {} is no ε-core", tag, i);
+        }
+    }
+    for i in 0..n {
+        for j in (i + 1)..n {
+            let same = |c: &Clustering| {
+                c.labels()[i].is_core()
+                    && c.labels()[j].is_core()
+                    && c.cluster_of(i) == c.cluster_of(j)
+            };
+            if same(lower) {
+                prop_assert_eq!(
+                    ours.cluster_of(i),
+                    ours.cluster_of(j),
+                    "{}: ε-cores {} and {} split",
+                    tag,
+                    i,
+                    j
+                );
+            }
+            if same(ours) {
+                prop_assert!(
+                    same(upper),
+                    "{}: cores {} and {} joined beyond (1+ρ)ε",
+                    tag,
+                    i,
+                    j
+                );
+            }
         }
     }
     Ok(())
@@ -203,6 +286,104 @@ fn grid_paths(coords: &[(u32, u32)], eps: f64, min_pts: usize) -> Result<(), Tes
     Ok(())
 }
 
+/// Every generic approximate path over 1-D points at integer
+/// coordinates, on engines at `r̄ = ApproxParams::rbar()`: approx cold
+/// and hit, a hit after save/load, a radius-guided engine grown by
+/// ingest from a prefix of `split` points (queried before the ingest),
+/// and `engine.streaming` on the built and the grown engine. Without
+/// pruning every open pair of a merge reaches its distance test; in one
+/// dimension the anchors decide most of them.
+fn generic_approx_paths(
+    coords: &[u32],
+    eps: f64,
+    min_pts: usize,
+    rho: f64,
+    pruning: PruningConfig,
+    split: usize,
+    file_tag: &str,
+) -> Result<(), TestCaseError> {
+    let points: Vec<Vec<f64>> = coords.iter().map(|&x| vec![f64::from(x)]).collect();
+    let params = ApproxParams::new(eps, min_pts, rho).unwrap();
+    let oracle = |pts: &[Vec<f64>], radius: f64| original_dbscan(pts, &Euclidean, radius, min_pts);
+    let (lower, upper) = (oracle(&points, eps), oracle(&points, params.merge_radius()));
+    let verify = |tag: &str, c: &Clustering| check_sandwich(tag, c, &lower, &upper);
+
+    let engine = MetricDbscan::builder(points.clone(), Euclidean)
+        .rbar(params.rbar())
+        .pruning(pruning)
+        .build()
+        .unwrap();
+    cold_then_hit("approx", || engine.approx(&params).unwrap(), verify)?;
+    verify("streaming", &engine.streaming(&params).unwrap().clustering)?;
+
+    let path = temp_path(file_tag);
+    engine.save(&path).unwrap();
+    let loaded = MetricDbscan::load(&path, Euclidean);
+    std::fs::remove_file(&path).unwrap();
+    let run = loaded.unwrap().approx(&params).unwrap();
+    prop_assert!(run.report.cache_hit, "loaded: first approx query must hit");
+    verify("loaded approx", &run.clustering)?;
+
+    let split = split.clamp(1, points.len());
+    let grown = MetricDbscan::builder(points[..split].to_vec(), Euclidean)
+        .rbar(params.rbar())
+        .pruning(pruning)
+        .net_strategy(NetStrategy::RadiusGuided)
+        .build()
+        .unwrap();
+    check_sandwich(
+        "prefix approx",
+        &grown.approx(&params).unwrap().clustering,
+        &oracle(&points[..split], eps),
+        &oracle(&points[..split], params.merge_radius()),
+    )?;
+    let mid = split + (points.len() - split) / 2;
+    grown.ingest(points[split..mid].to_vec()).unwrap();
+    grown.ingest(points[mid..].to_vec()).unwrap();
+    cold_then_hit("ingested approx", || grown.approx(&params).unwrap(), verify)?;
+    verify(
+        "ingested streaming",
+        &grown.streaming(&params).unwrap().clustering,
+    )
+}
+
+/// The grid path of the approximate solver: a `VectorBlock<f64>` at
+/// d = 2 on the grid index, over integer coordinates, cold and hit, and
+/// `engine.streaming` on the same engine.
+fn grid_approx_paths(
+    coords: &[(u32, u32)],
+    eps: f64,
+    min_pts: usize,
+    rho: f64,
+    pruning: PruningConfig,
+) -> Result<(), TestCaseError> {
+    let rows: Vec<Vec<f64>> = coords
+        .iter()
+        .map(|&(x, y)| vec![f64::from(x), f64::from(y)])
+        .collect();
+    let block = VectorBlock::<f64>::from_rows(&rows);
+    let ids = block.ids();
+    let params = ApproxParams::new(eps, min_pts, rho).unwrap();
+    let lower = original_dbscan(&ids, &block, eps, min_pts);
+    let upper = original_dbscan(&ids, &block, params.merge_radius(), min_pts);
+    let verify = |tag: &str, c: &Clustering| check_sandwich(tag, c, &lower, &upper);
+    let engine = MetricDbscan::builder(ids.clone(), block.clone())
+        .rbar(params.rbar())
+        .pruning(pruning)
+        .candidate_index(CandidateIndex::Grid)
+        .build()
+        .unwrap();
+    cold_then_hit("grid approx", || engine.approx(&params).unwrap(), verify)?;
+    prop_assert!(
+        engine.cache_stats().grid_misses > 0,
+        "grid path was not taken"
+    );
+    verify(
+        "grid streaming",
+        &engine.streaming(&params).unwrap().clustering,
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -238,10 +419,53 @@ proptest! {
         let min_pts = min_pts_at(sel, coords.len());
         grid_paths(&coords, eps, min_pts)?;
     }
+
+    /// The approximate paths on the inputs of the generic exact test,
+    /// at ρ ∈ {0.5, 1, 2}, with pruning on or off.
+    #[test]
+    fn generic_approx_paths_are_sandwiched(
+        ((coords, d, variant, sel, split), rho, pruned) in (
+            (
+                prop::collection::vec(0u32..12, 1..=20),
+                1u32..=3,
+                0u8..3,
+                0u8..5,
+                0usize..20,
+            ),
+            0u8..3,
+            0u8..2,
+        )
+    ) {
+        let eps = eps_at(d, variant);
+        let min_pts = min_pts_at(sel, coords.len());
+        let (rho, pruning) = (rho_at(rho), pruning_at(pruned));
+        generic_approx_paths(&coords, eps, min_pts, rho, pruning, split, "approx-prop")?;
+    }
+
+    /// The grid approximate path on the 2-D lattice of the grid exact
+    /// test, at ρ ∈ {0.5, 1, 2}, with pruning on or off.
+    #[test]
+    fn grid_approx_paths_are_sandwiched(
+        ((coords, d, variant, sel), rho, pruned) in (
+            (
+                prop::collection::vec((0u32..10, 0u32..3), 1..=24),
+                1u32..=3,
+                0u8..3,
+                0u8..5,
+            ),
+            0u8..3,
+            0u8..2,
+        )
+    ) {
+        let eps = eps_at(d, variant);
+        let min_pts = min_pts_at(sel, coords.len());
+        grid_approx_paths(&coords, eps, min_pts, rho_at(rho), pruning_at(pruned))?;
+    }
 }
 
-/// The named edge cases, each through every path, at ε exactly on and
-/// one ulp either side of the planted distance 1.
+/// The named edge cases, each through every exact path and, at every ρ,
+/// every approximate path, at ε exactly on and one ulp either side of
+/// the planted distance 1.
 #[test]
 fn edge_cases_match_the_oracle() {
     let chain: Vec<u32> = (0..10).collect();
@@ -265,6 +489,17 @@ fn edge_cases_match_the_oracle() {
             let lattice: Vec<(u32, u32)> = coords.iter().map(|&x| (x, 0)).collect();
             grid_paths(&lattice, eps, min_pts)
                 .unwrap_or_else(|e| panic!("{name} (grid), eps {eps:e}: {e:?}"));
+            for (sel, pruned) in (0..3).flat_map(|sel| [(sel, 0), (sel, 1)]) {
+                let (rho, pruning) = (rho_at(sel), pruning_at(pruned));
+                let tag = format!(
+                    "{name}, eps {eps:e}, rho {rho}, pruning {}",
+                    pruning.enabled
+                );
+                generic_approx_paths(&coords, eps, min_pts, rho, pruning, split, "approx-edge")
+                    .unwrap_or_else(|e| panic!("{tag}: {e:?}"));
+                grid_approx_paths(&lattice, eps, min_pts, rho, pruning)
+                    .unwrap_or_else(|e| panic!("{tag} (grid): {e:?}"));
+            }
         }
     }
 }
