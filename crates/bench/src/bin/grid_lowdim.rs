@@ -3,8 +3,10 @@
 //! `--scale`), runs the exact solver cold over a `VectorBlock<f64>`
 //! twice — once generic (net-anchored pruning) and once with
 //! [`CandidateIndex::Grid`] — asserting bit-identical labels, and
-//! writes `BENCH_grid.json` with wall-clock, per-phase distance
-//! evaluations, and the grid's candidate ledger.
+//! prints one JSON document to stdout with wall-clock, per-phase
+//! distance evaluations, and the grid's candidate ledger. Progress rows
+//! (TSV) go to stderr. Re-record the checked-in `BENCH_grid.json` with
+//! `cargo run --release -p mdbscan_bench --bin grid_lowdim > BENCH_grid.json`.
 //!
 //! Headline (asserted at `--scale ≥ 1`): on the 2-D n = 200k config
 //! the grid cuts Step-1 + adjacency distance evaluations at least 5×.
@@ -73,7 +75,7 @@ fn run_side(block: &VectorBlock<f64>, index: CandidateIndex) -> (Side, Vec<i32>)
 fn main() {
     let args = HarnessArgs::parse();
     let mut configs: Vec<Config> = Vec::new();
-    println!(
+    eprintln!(
         "dim\tn\tpath\twall_ms\tadjacency_evals\tlabel_evals\ttotal_evals\tcells_probed\temitted\trejected"
     );
     for dim in [2usize, 3] {
@@ -106,11 +108,10 @@ fn main() {
             let front_reduction = front(&generic.stats) as f64 / front(&grid.stats).max(1) as f64;
             for (path, side) in [("generic", &generic), ("grid", &grid)] {
                 let c = side.stats.candidates;
-                mdbscan_bench::row!(
-                    dim,
+                eprintln!(
+                    "{dim}\t{}\t{path}\t{:.1}\t{}\t{}\t{}\t{}\t{}\t{}",
                     rows.len(),
-                    path,
-                    format!("{:.1}", side.wall_ms),
+                    side.wall_ms,
                     side.stats.adjacency_evals,
                     side.stats.label_evals,
                     side.stats.distance_evals,
@@ -188,6 +189,4 @@ fn main() {
     json.push_str("  ]\n");
     json.push_str("}\n");
     print!("{json}");
-    mdbscan_bench::write_json("BENCH_grid.json", &json);
-    eprintln!("wrote BENCH_grid.json ({} configs)", configs.len());
 }

@@ -3,9 +3,11 @@
 //! scaled by `--scale`), runs the exact solver once as the quality
 //! reference, then the ρ-approximate solver cold twice — generic
 //! (net-anchored pruning) and [`CandidateIndex::RandomProjection`] —
-//! and writes `BENCH_highdim.json` with wall-clock, the Step-1 +
+//! and prints one JSON document to stdout with wall-clock, the Step-1 +
 //! labeling distance-evaluation front, the RP candidate ledger, and
-//! ARI/AMI quality scores against the exact labels.
+//! ARI/AMI quality scores against the exact labels. Progress rows (TSV)
+//! go to stderr. Re-record the checked-in `BENCH_highdim.json` with
+//! `cargo run --release -p mdbscan_bench --bin highdim_embeddings > BENCH_highdim.json`.
 //!
 //! Headline (asserted at `--scale ≥ 1`): on the d = 128, n = 50k config
 //! the RP index cuts Step-1 + labeling distance evaluations at least
@@ -205,7 +207,7 @@ fn label_shape(labels: &[i32]) -> (usize, usize) {
 fn main() {
     let args = HarnessArgs::parse();
     let mut configs: Vec<Config> = Vec::new();
-    println!(
+    eprintln!(
         "dim\tn\tpath\twall_ms\tsummary_evals\tlabel_evals\ttotal_evals\tanchors\tb_acc\tb_rej\trp_emitted\trp_rejected\tari\tami"
     );
     for (dim, base) in [(128usize, 50_000usize), (768, 10_000)] {
@@ -265,11 +267,10 @@ fn main() {
 
         let front_reduction = front(&generic.stats) as f64 / front(&rp.stats).max(1) as f64;
         for (path, side) in [("generic", &generic), ("rp", &rp)] {
-            mdbscan_bench::row!(
-                dim,
+            eprintln!(
+                "{dim}\t{}\t{path}\t{:.1}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{:.4}\t{:.4}",
                 rows.len(),
-                path,
-                format!("{:.1}", side.wall_ms),
+                side.wall_ms,
                 side.stats.summary_evals,
                 side.stats.label_evals,
                 side.stats.distance_evals(),
@@ -278,8 +279,8 @@ fn main() {
                 side.stats.pruning.bound_rejects,
                 side.rp.candidates_emitted,
                 side.rp.candidates_rejected,
-                format!("{:.4}", side.ari),
-                format!("{:.4}", side.ami)
+                side.ari,
+                side.ami
             );
         }
         configs.push(Config {
@@ -369,6 +370,4 @@ fn main() {
     json.push_str("  ]\n");
     json.push_str("}\n");
     print!("{json}");
-    mdbscan_bench::write_json("BENCH_highdim.json", &json);
-    eprintln!("wrote BENCH_highdim.json ({} configs)", configs.len());
 }

@@ -1,8 +1,11 @@
 //! Observability overhead: the cost of tracing must be noise.
 //!
 //! Builds fresh n≈10k engines with a no-op recorder and with a real
-//! `MetricsRecorder`, runs the exact and streaming paths, and writes
-//! `BENCH_obs.json` with min-of-repeats wall clock for both modes.
+//! `MetricsRecorder`, runs the exact and streaming paths, and prints one
+//! JSON document to stdout with min-of-repeats wall clock for both
+//! modes. Progress rows (TSV) go to stderr. Re-record the checked-in
+//! `BENCH_obs.json` with
+//! `cargo run --release -p mdbscan_bench --bin obs_overhead > BENCH_obs.json`.
 //! At `--scale` ≥ 1 the headline is asserted: recorder-on overhead
 //! ≤ 3 % on both paths. Always asserted, at any scale:
 //!
@@ -140,18 +143,14 @@ fn main() {
     let histograms_consistent = snapshot.histograms.values().all(|h| h.is_consistent());
     assert!(histograms_consistent, "inconsistent histogram snapshot");
 
-    mdbscan_bench::row!("path", "noop_ms", "recorded_ms", "overhead_pct");
-    mdbscan_bench::row!(
-        "exact",
-        format!("{:.2}", baseline.exact_ms),
-        format!("{:.2}", recorded.exact_ms),
-        format!("{exact_overhead_pct:.2}")
+    eprintln!("path\tnoop_ms\trecorded_ms\toverhead_pct");
+    eprintln!(
+        "exact\t{:.2}\t{:.2}\t{exact_overhead_pct:.2}",
+        baseline.exact_ms, recorded.exact_ms
     );
-    mdbscan_bench::row!(
-        "streaming",
-        format!("{:.2}", baseline.streaming_ms),
-        format!("{:.2}", recorded.streaming_ms),
-        format!("{streaming_overhead_pct:.2}")
+    eprintln!(
+        "streaming\t{:.2}\t{:.2}\t{streaming_overhead_pct:.2}",
+        baseline.streaming_ms, recorded.streaming_ms
     );
 
     let mut json = String::new();
@@ -183,6 +182,4 @@ fn main() {
     json.push_str("  ]\n");
     json.push_str("}\n");
     print!("{json}");
-    mdbscan_bench::write_json("BENCH_obs.json", &json);
-    eprintln!("wrote BENCH_obs.json");
 }

@@ -1,16 +1,19 @@
 //! Thread-scaling report for the exact and ρ-approximate pipelines:
 //! solves one ≥100k-point blob set at 1/2/4/8 worker threads, checks
-//! the labels are byte-identical to the 1-thread run, and prints one
-//! JSON object (BENCH_thread_scaling.json shape) with wall-clock and
-//! distance-evaluation counts per thread setting.
+//! the labels are byte-identical to the 1-thread run, and records
+//! wall-clock and distance-evaluation counts per thread setting.
 //!
-//! It additionally writes `BENCH_distance_evals.json` — the pruning
-//! baseline: per solver (exact / approx / covertree / streaming) and per
-//! pruning setting, the wall-clock, the distance-evaluation count, and
-//! the bound-accept/reject/anchor counters — asserting along the way
-//! that labels are byte-identical with pruning on vs off and that the
-//! counters are self-consistent. CI runs this at a tiny `--scale` as a
-//! smoke test of the whole distance-minimization layer.
+//! It also measures the pruning baseline: per solver (exact / approx /
+//! covertree / streaming) and per pruning setting, the wall-clock, the
+//! distance-evaluation count, and the bound-accept/reject/anchor
+//! counters — asserting along the way that labels are byte-identical
+//! with pruning on vs off and that the counters are self-consistent.
+//!
+//! Stdout carries exactly one JSON document holding both panels
+//! (`runs` and `solvers`); the bin writes no file.
+//! `BENCH_distance_evals.json` is the checked-in record of the pruning
+//! panel at n = 5k; re-record it with a redirect:
+//! `cargo run --release -p mdbscan_bench --bin thread_scaling -- --scale 0.05 > BENCH_distance_evals.json`.
 //!
 //! `--scale 0.1` shrinks the dataset for smoke runs; `--full` runs the
 //! million-point panel regardless of `--scale`.
@@ -113,34 +116,53 @@ fn main() {
         });
     }
 
-    let t1_total = runs[0].build_ms + runs[0].exact_ms;
-    println!("{{");
-    println!("  \"bench\": \"thread_scaling\",");
-    println!("  \"n\": {n},");
-    println!("  \"eps\": {EPS},");
-    println!("  \"min_pts\": {MIN_PTS},");
-    println!(
-        "  \"available_parallelism\": {},",
-        ParallelConfig::available()
-    );
-    println!("  \"runs\": [");
-    for (i, r) in runs.iter().enumerate() {
-        let total = r.build_ms + r.exact_ms;
-        let sep = if i + 1 == runs.len() { "" } else { "," };
-        println!(
-            "    {{\"threads\": {}, \"build_ms\": {:.2}, \"exact_ms\": {:.2}, \"approx_ms\": {:.2}, \"total_ms\": {:.2}, \"speedup_vs_1t\": {:.3}, \"distance_evals\": {}, \"labels_match_1t\": {}}}{sep}",
-            r.threads, r.build_ms, r.exact_ms, r.approx_ms, total, t1_total / total,
-            r.distance_evals, r.labels_match,
-        );
-    }
-    println!("  ]");
-    println!("}}");
     assert!(
         runs.iter().all(|r| r.labels_match),
         "cluster labels diverged across thread counts"
     );
+    let solvers = distance_evals_baseline(&pts);
 
-    write_distance_evals_baseline(&pts, n);
+    let t1_total = runs[0].build_ms + runs[0].exact_ms;
+    let mut json = String::new();
+    json.push_str("{\n");
+    json.push_str("  \"bench\": \"thread_scaling\",\n");
+    json.push_str(&format!("  \"n\": {n},\n"));
+    json.push_str(&format!(
+        "  \"eps\": {EPS}, \"min_pts\": {MIN_PTS}, \"rho\": {RHO},\n"
+    ));
+    json.push_str(&format!(
+        "  \"available_parallelism\": {},\n",
+        ParallelConfig::available()
+    ));
+    json.push_str("  \"runs\": [\n");
+    for (i, r) in runs.iter().enumerate() {
+        let total = r.build_ms + r.exact_ms;
+        let sep = if i + 1 == runs.len() { "" } else { "," };
+        json.push_str(&format!(
+            "    {{\"threads\": {}, \"build_ms\": {:.2}, \"exact_ms\": {:.2}, \"approx_ms\": {:.2}, \"total_ms\": {:.2}, \"speedup_vs_1t\": {:.3}, \"distance_evals\": {}, \"labels_match_1t\": {}}}{sep}\n",
+            r.threads, r.build_ms, r.exact_ms, r.approx_ms, total, t1_total / total,
+            r.distance_evals, r.labels_match,
+        ));
+    }
+    json.push_str("  ],\n");
+    json.push_str("  \"solvers\": [\n");
+    for (i, r) in solvers.iter().enumerate() {
+        let sep = if i + 1 == solvers.len() { "" } else { "," };
+        json.push_str(&format!(
+            "    {{\"solver\": \"{}\", \"pruning\": {}, \"wall_ms\": {:.2}, \"distance_evals\": {}, \"bound_accepts\": {}, \"bound_rejects\": {}, \"anchor_evals\": {}, \"distance_evals_saved\": {}}}{sep}\n",
+            r.solver,
+            r.pruning,
+            r.wall_ms,
+            r.distance_evals,
+            r.bounds.bound_accepts,
+            r.bounds.bound_rejects,
+            r.bounds.anchor_evals,
+            r.bounds.distance_evals_saved(),
+        ));
+    }
+    json.push_str("  ]\n");
+    json.push_str("}\n");
+    print!("{json}");
 }
 
 /// One row of the pruning baseline.
@@ -154,8 +176,8 @@ struct EvalRow {
 
 /// Runs every solver with pruning on and off over a `CountingMetric`,
 /// asserts the labels are byte-identical and the counters sane, and
-/// writes `BENCH_distance_evals.json`.
-fn write_distance_evals_baseline(pts: &[Vec<f64>], n: usize) {
+/// returns one row per (solver, pruning setting).
+fn distance_evals_baseline(pts: &[Vec<f64>]) -> Vec<EvalRow> {
     let aparams = ApproxParams::new(EPS, MIN_PTS, RHO).expect("approx params");
     let params = DbscanParams::new(EPS, MIN_PTS).expect("params");
     let mut rows: Vec<EvalRow> = Vec::new();
@@ -232,33 +254,5 @@ fn write_distance_evals_baseline(pts: &[Vec<f64>], n: usize) {
         }
     }
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"bench\": \"distance_evals\",\n");
-    json.push_str(&format!("  \"n\": {n},\n"));
-    json.push_str(&format!(
-        "  \"eps\": {EPS}, \"min_pts\": {MIN_PTS}, \"rho\": {RHO},\n"
-    ));
-    json.push_str("  \"solvers\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let sep = if i + 1 == rows.len() { "" } else { "," };
-        json.push_str(&format!(
-            "    {{\"solver\": \"{}\", \"pruning\": {}, \"wall_ms\": {:.2}, \"distance_evals\": {}, \"bound_accepts\": {}, \"bound_rejects\": {}, \"anchor_evals\": {}, \"distance_evals_saved\": {}}}{sep}\n",
-            r.solver,
-            r.pruning,
-            r.wall_ms,
-            r.distance_evals,
-            r.bounds.bound_accepts,
-            r.bounds.bound_rejects,
-            r.bounds.anchor_evals,
-            r.bounds.distance_evals_saved(),
-        ));
-    }
-    json.push_str("  ]\n");
-    json.push_str("}\n");
-    mdbscan_bench::write_json("BENCH_distance_evals.json", &json);
-    eprintln!(
-        "wrote BENCH_distance_evals.json ({} solver rows)",
-        rows.len()
-    );
+    rows
 }

@@ -1,9 +1,14 @@
 //! Shared harness plumbing: CLI flags, timing, and the dataset registry
 //! that maps every Table 1 dataset class to its synthetic stand-in
-//! (DESIGN.md §3 records the substitutions).
+//! ([`registry`] records the substitutions).
 //!
-//! Every binary prints a TSV table to stdout — the same rows/series as the
-//! corresponding figure or table in the paper — and accepts:
+//! The figure, table and ablation binaries print a TSV table to stdout —
+//! the same rows/series as the corresponding figure or table in the
+//! paper. The four probe binaries (`thread_scaling`, `grid_lowdim`,
+//! `highdim_embeddings`, `obs_overhead`) print exactly one JSON document
+//! to stdout and their progress rows to stderr; none writes a file, so
+//! re-recording a checked-in `BENCH_*.json` is a shell redirect. Every
+//! binary accepts:
 //!
 //! * `--seed <u64>` (default 42): generator seed;
 //! * `--scale <f64>` (default 1.0): multiplies dataset sizes;
@@ -69,16 +74,6 @@ impl HarnessArgs {
     pub fn sized(&self, base: usize) -> usize {
         ((base as f64 * self.scale) as usize).max(10)
     }
-}
-
-/// Writes a `BENCH_*.json` artifact crash-consistently (atomic
-/// temp-file + rename via `mdbscan_persist::write_atomic`), so a
-/// bench killed mid-write can never leave a torn JSON for the CI
-/// smoke-parser to choke on. Panics with a readable message on I/O
-/// failure, like the bare `fs::write` it replaces.
-pub fn write_json(path: &str, json: &str) {
-    mdbscan_persist::write_atomic(path, json.as_bytes())
-        .unwrap_or_else(|e| panic!("write {path}: {e}"));
 }
 
 /// Runs `f` and returns `(result, milliseconds)`.

@@ -1640,15 +1640,16 @@ impl<'e, P: Clone + Sync, M: BatchMetric<P>> EngineSnapshot<'e, P, M> {
     }
 
     /// Consults the epoch+`ε`-keyed adjacency cache. A same-epoch entry
-    /// is a hit; otherwise a Gonzalez-kind adjacency from an older
-    /// epoch is *extended* by the new-center rows (counted as an
-    /// upgrade, stored under this epoch). `None` means "build it" (and
-    /// hand it back via `store_adjacency`).
+    /// over `num_centers` rows is a hit; otherwise a Gonzalez-kind
+    /// adjacency from an older epoch is *extended* by the new-center
+    /// rows (counted as an upgrade, stored under this epoch). `None`
+    /// means "build it" (and hand it back via `store_adjacency`).
     fn lookup_adjacency(
         &self,
         kind: NetKind,
         level: i32,
         threshold: f64,
+        num_centers: usize,
         pruned: bool,
         parallel: &ParallelConfig,
     ) -> (AdjKey, Option<Arc<CenterAdjacency>>) {
@@ -1662,7 +1663,15 @@ impl<'e, P: Clone + Sync, M: BatchMetric<P>> EngineSnapshot<'e, P, M> {
         let engine = self.engine;
         let (found, base) = {
             let mut cache = engine.cache_lock();
-            match cache.adjacency.promote(&key).map(Arc::clone) {
+            // A loaded cover-tree entry cannot be checked against its net
+            // at load time (the net is extracted per query), so one whose
+            // rows do not match this net is a miss.
+            let same_epoch = cache
+                .adjacency
+                .promote(&key)
+                .filter(|adj| adj.len() == num_centers)
+                .map(Arc::clone);
+            match same_epoch {
                 Some(adj) => (Some(adj), None),
                 None if kind == NetKind::Gonzalez => {
                     // Newest older-epoch entry at the same threshold:
@@ -1773,8 +1782,14 @@ impl<'e, P: Clone + Sync, M: BatchMetric<P>> EngineSnapshot<'e, P, M> {
             engine.upgrade_count.fetch_add(1, Ordering::Relaxed);
         }
         let threshold = 2.0 * view.rbar + params.eps();
-        let (adj_key, adj_cached) =
-            self.lookup_adjacency(kind, level, threshold, cfg.pruning.enabled, &cfg.parallel);
+        let (adj_key, adj_cached) = self.lookup_adjacency(
+            kind,
+            level,
+            threshold,
+            view.num_centers(),
+            cfg.pruning.enabled,
+            &cfg.parallel,
+        );
         let adj_was_cached = adj_cached.is_some();
         let outcome = run_exact_steps(
             &self.state.points,
@@ -1867,6 +1882,7 @@ impl<'e, P: Clone + Sync, M: BatchMetric<P>> EngineSnapshot<'e, P, M> {
             NetKind::Gonzalez,
             0,
             threshold,
+            view.num_centers(),
             engine.pruning.enabled,
             &engine.parallel,
         );

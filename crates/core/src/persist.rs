@@ -1007,7 +1007,11 @@ where
             for _ in 0..count {
                 let epoch = s.get_u64()?;
                 let skeleton = CoverTreeSkeleton::decode(&mut s)?;
-                if skeleton.len() > points.len() {
+                // A tree keyed at the loaded epoch is hit, not grown, so
+                // it must span exactly the loaded points; an older
+                // epoch's tree is a prefix that the next query grows.
+                let current = epoch == cfg.epoch;
+                if skeleton.len() > points.len() || (current && skeleton.len() != points.len()) {
                     return Err(PersistError::format(
                         SEC_COVERTREES,
                         format!(

@@ -3,9 +3,10 @@
 //! specializations at d ∈ {2, 3}, fused generic path) must return
 //! **bit-for-bit** the values of the scalar `Metric` reference loop —
 //! the `BatchMetric` contract the solvers' determinism rides on —
-//! for f32 and f64 storage across d ∈ {1, 2, 3, 5, 128}, including
-//! empty and single-candidate batches, permuted id indirection, and
-//! bound tightness at realized distances.
+//! for f32 and f64 storage across d ∈ {1, 2, 3, 5, 128, 768}, including
+//! empty and single-candidate batches, candidate lists that span
+//! several 64-wide strips, permuted id indirection, and bound tightness
+//! at realized distances.
 
 use mdbscan_metric::{BatchMetric, BlockScalar, Euclidean, Metric, VectorBlock};
 use proptest::prelude::*;
@@ -97,6 +98,10 @@ kernel_equivalence_tests!(d2, 2, 40, 24);
 kernel_equivalence_tests!(d3, 3, 40, 24);
 kernel_equivalence_tests!(d5, 5, 40, 24);
 kernel_equivalence_tests!(d128, 128, 12, 8);
+kernel_equivalence_tests!(d768, 768, 12, 8);
+// Up to 200 rows: candidate lists span up to four strips, so every
+// strip after the first must start from fresh accumulators.
+kernel_equivalence_tests!(d5_strips, 5, 200, 8);
 
 proptest! {
     /// The f64 SoA layout agrees bit-for-bit with `Euclidean` over the

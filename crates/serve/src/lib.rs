@@ -23,8 +23,7 @@
 //! * [`FaultPlan`] / [`PanicMetric`] — a seeded, deterministic
 //!   fault-injection harness: which save gets torn at which byte,
 //!   which connection drops or stalls, which query's metric detonates.
-//!   Drives `tests/fault_injection.rs` and the serving bench's chaos
-//!   mode.
+//!   Drives `tests/fault_injection.rs`.
 //! * **Observability** — every server counter lives in an
 //!   [`mdbscan_obs::Registry`] (shareable with the engine's
 //!   [`mdbscan_core::MetricsRecorder`] via

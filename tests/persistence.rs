@@ -460,7 +460,9 @@ fn load_bytes(bytes: &[u8], tag: &str) -> Result<MetricDbscan<Vec<f64>, Euclidea
 /// this one: checksum-valid per-center rows that disagree with the
 /// loaded net's center count fail typed at load (exact and approx
 /// entries), and a cover-tree entry whose rows disagree with the net
-/// extracted at query time is a miss, not an index panic.
+/// extracted at query time is a miss, not an index panic. The same
+/// holds for the cover tree itself: a current-epoch tree over fewer
+/// points than the engine fails typed at load.
 #[test]
 fn cache_entries_from_another_net_are_rejected() {
     let params = DbscanParams::new(1.6, 5).unwrap();
@@ -525,6 +527,28 @@ fn cache_entries_from_another_net_are_rejected() {
         loaded.covertree(&params).unwrap().clustering,
         want.clustering
     );
+    let spliced = splice(
+        &artifact_bytes(&tree_b, "splice_adj_b"),
+        &artifact_bytes(&tree_a, "splice_adj_a"),
+        &["adjacency-cache"],
+    );
+    let loaded = load_bytes(&spliced, "splice_adj").unwrap();
+    assert_eq!(
+        loaded.covertree(&params).unwrap().clustering,
+        want.clustering
+    );
+
+    let prefix = build(vector_points()[..120].to_vec(), 0.5);
+    prefix.covertree(&params).unwrap();
+    let spliced = splice(
+        &artifact_bytes(&tree_a, "splice_full_tree"),
+        &artifact_bytes(&prefix, "splice_prefix_tree"),
+        &["covertree-cache"],
+    );
+    match load_bytes(&spliced, "splice_short_tree").map(|_| ()) {
+        Err(DbscanError::Format { section, .. }) => assert_eq!(section, "covertree-cache"),
+        other => panic!("expected Format, got {other:?}"),
+    }
 }
 
 /// The deterministic engine behind the golden fixture: fixed data,
@@ -657,6 +681,11 @@ fn self_contained_load_is_zero_copy_and_bit_identical() {
         assert_eq!(
             stats.point_bytes_copied, 0,
             "row ids must alias the artifact buffer"
+        );
+        assert!(
+            stats.bytes_copied() <= 64,
+            "a zero-copy load copies O(1) bytes, not {}",
+            stats.bytes_copied()
         );
         assert!(stats.point_payload_bytes >= (n * 4) as u64);
         assert!(stats.metric_payload_bytes >= (n * 3 * 8) as u64);
