@@ -132,6 +132,8 @@ struct Side {
 struct Config {
     dim: usize,
     n: usize,
+    min_pts: usize,
+    spread: f64,
     exact_wall_ms: f64,
     generic: Side,
     rp: Side,
@@ -286,6 +288,8 @@ fn main() {
         configs.push(Config {
             dim,
             n: rows.len(),
+            min_pts: min_pts(n),
+            spread: spread(dim),
             exact_wall_ms,
             generic,
             rp,
@@ -341,7 +345,8 @@ fn main() {
         let g = &c.generic;
         let r = &c.rp;
         json.push_str(&format!(
-            "    {{\"dim\": {}, \"n\": {}, \"exact_wall_ms\": {:.1}, \
+            "    {{\"dim\": {}, \"n\": {}, \"min_pts\": {}, \"spread\": {}, \
+             \"exact_wall_ms\": {:.1}, \
              \"generic\": {{\"wall_ms\": {:.1}, \"front_evals\": {}, \"total_evals\": {}, \
              \"ari\": {:.4}, \"ami\": {:.4}}}, \
              \"rp\": {{\"wall_ms\": {:.1}, \"front_evals\": {}, \"total_evals\": {}, \
@@ -350,6 +355,8 @@ fn main() {
              \"front_reduction\": {:.2}, \"rp_deterministic\": true}}{sep}\n",
             c.dim,
             c.n,
+            c.min_pts,
+            c.spread,
             c.exact_wall_ms,
             g.wall_ms,
             front(&g.stats),

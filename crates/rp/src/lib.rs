@@ -10,18 +10,22 @@
 //! 1. every direction is drawn from the shim-`rand` generator
 //!    (Box–Muller, [`rand::distr::StandardNormal`]) seeded by
 //!    [`RpConfig::seed`] and normalised to unit length;
-//! 2. every point's dot product with every direction is computed once at
-//!    build time (ascending-dimension accumulation, so the result is
-//!    bit-identical regardless of batching);
+//! 2. every point is projected onto every direction at build time
+//!    (ascending-dimension accumulation, so the result is bit-identical
+//!    regardless of batching); only the list entries below keep their
+//!    values;
 //! 3. per direction the index keeps the **top-m closest** list (largest
 //!    dot products) and the **top-m furthest** list (smallest), ordered
 //!    by (value, id) under [`f64::total_cmp`];
-//! 4. a query for point `id` ranks the directions by the point's **list
-//!    depth** — its would-be position in the stored closest/furthest
-//!    list, found by binary search on the (value, id) order — consults
-//!    the [`RpConfig::probes`] shallowest ones (taking whichever end the
-//!    point is nearer), and returns the sorted, deduplicated union (self
-//!    always included).
+//! 4. every point's directions are ranked by its **list depth** — its
+//!    position in the stored closest or furthest list, or the list
+//!    length when it is in neither — and the [`RpConfig::probes`]
+//!    shallowest ones are recorded with the end the point is nearer.
+//!    One pass over the stored lists ranks every point at once, at
+//!    every [`RpIndex::build`] and [`RpIndex::extend`];
+//! 5. a query for point `id` returns the sorted, deduplicated union of
+//!    its recorded lists (self always included), so it costs
+//!    `probes · top_m` list reads and one sort of that many ids.
 //!
 //! Depth-ranked probing, rather than ranking directions by the raw
 //! `|value|`, matters on real embedding tables: any direction component
@@ -41,7 +45,8 @@
 //! coordinates, and [`RpIndex::extend`] is bit-identical to a fresh
 //! [`RpIndex::build`] over the concatenated point set (top-m of a union
 //! is contained in the union of per-part top-ms, so merging the stored
-//! lists with the new points' values reproduces the fresh sort exactly).
+//! lists with the new points' values reproduces the fresh sort exactly,
+//! and the recorded probes are a function of the lists alone).
 //! Solvers built on this index therefore stay bit-identical across
 //! thread counts, cache states, ingest-vs-fresh, and artifact round
 //! trips. What the index does *not* promise is agreement with the exact
@@ -148,6 +153,13 @@ fn furthest_cmp(a: &Entry, b: &Entry) -> std::cmp::Ordering {
     a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
 }
 
+/// Directions projected together: their coordinates are interleaved
+/// dimension-major so one row value feeds a whole block of
+/// accumulators.
+const DIR_BLOCK: usize = 8;
+/// Rows projected together against one direction block.
+const ROW_GROUP: usize = 2;
+
 /// The immutable index: build once per epoch, share behind an `Arc`,
 /// query concurrently (queries take `&self`).
 #[derive(Debug, Clone)]
@@ -157,12 +169,14 @@ pub struct RpIndex {
     len: usize,
     /// `projections × dim`, row per direction, unit-norm.
     dirs: Vec<f64>,
-    /// Per direction: one projection value per point, point order.
-    values: Vec<Vec<f64>>,
     /// Per direction: up to `top_m` entries, `closest_cmp` order.
     closest: Vec<Vec<Entry>>,
     /// Per direction: up to `top_m` entries, `furthest_cmp` order.
     furthest: Vec<Vec<Entry>>,
+    /// Per point, its `probe_count()` shallowest directions as
+    /// `direction << 1 | furthest` codes, shallowest first: the lists a
+    /// query for the point reads.
+    probes: Vec<u32>,
 }
 
 impl RpIndex {
@@ -183,9 +197,9 @@ impl RpIndex {
             dim,
             len: 0,
             dirs,
-            values: vec![Vec::new(); k],
             closest: vec![Vec::new(); k],
             furthest: vec![Vec::new(); k],
+            probes: Vec::new(),
         };
         index.absorb(coords);
         index
@@ -209,42 +223,107 @@ impl RpIndex {
         next
     }
 
-    /// Projects `coords` onto every direction, appends the values, and
-    /// re-selects the per-direction lists.
+    /// Projects `coords` onto every direction, re-selects the
+    /// per-direction lists from the stored entries plus the new
+    /// values, and re-derives every point's probes.
     fn absorb(&mut self, coords: &[f64]) {
-        let added = coords.len() / self.dim;
-        let k = self.values.len();
+        let dim = self.dim;
+        let added = coords.len() / dim;
+        let k = self.closest.len();
         let m = self.cfg.top_m.max(1) as usize;
-        for kk in 0..k {
-            let dir = &self.dirs[kk * self.dim..(kk + 1) * self.dim];
-            let vals = &mut self.values[kk];
-            vals.reserve(added);
-            for i in 0..added {
-                let row = &coords[i * self.dim..(i + 1) * self.dim];
-                // Ascending-dimension accumulation: one canonical
-                // summation order, so the value never depends on how
-                // points are batched into build/extend calls.
-                let mut acc = 0.0f64;
-                for d in 0..self.dim {
-                    acc += dir[d] * row[d];
-                }
-                vals.push(acc);
+        // One direction block's values at a time, direction-major.
+        let mut vals = vec![0.0f64; DIR_BLOCK * added];
+        let mut pool: Vec<Entry> = Vec::with_capacity(m + added);
+        for k0 in (0..k).step_by(DIR_BLOCK) {
+            let block = DIR_BLOCK.min(k - k0);
+            project_block(
+                &self.dirs[k0 * dim..(k0 + block) * dim],
+                coords,
+                dim,
+                &mut vals,
+            );
+            for (j, kk) in (k0..k0 + block).enumerate() {
+                let col = &vals[j * added..(j + 1) * added];
+                let fresh = col.iter().zip(self.len as u32..).map(|(&v, id)| (v, id));
+                reselect(
+                    &mut self.closest[kk],
+                    fresh.clone(),
+                    m,
+                    closest_cmp,
+                    &mut pool,
+                );
+                reselect(&mut self.furthest[kk], fresh, m, furthest_cmp, &mut pool);
             }
-            let fresh = |base: &[Entry]| -> Vec<Entry> {
-                let mut pool: Vec<Entry> = base.to_vec();
-                pool.extend((0..added).map(|i| (vals[self.len + i], (self.len + i) as u32)));
-                pool
-            };
-            let mut close = fresh(&self.closest[kk]);
-            close.sort_unstable_by(closest_cmp);
-            close.truncate(m);
-            self.closest[kk] = close;
-            let mut far = fresh(&self.furthest[kk]);
-            far.sort_unstable_by(furthest_cmp);
-            far.truncate(m);
-            self.furthest[kk] = far;
         }
         self.len += added;
+        self.probes = self.derive_probes();
+    }
+
+    /// Directions a query consults: [`RpConfig::probes`] clamped to
+    /// `1..=projections`.
+    fn probe_count(&self) -> usize {
+        (self.cfg.probes.max(1) as usize).min(self.closest.len())
+    }
+
+    /// Ranks every point's directions by (list depth, direction) in one
+    /// pass over the stored lists and keeps the `probe_count()` first,
+    /// each with the end the point is nearer (closest on equal depth).
+    ///
+    /// Both lists of a direction hold `min(len, top_m)` entries, and a
+    /// point outside a list sorts after all of it, so its depth there is
+    /// the list length: directions holding the point in neither list
+    /// rank after every other, by index, closest end first.
+    fn derive_probes(&self) -> Vec<u32> {
+        let n = self.len;
+        let p = self.probe_count();
+        // Sort key per list hit: depth, then the probe code, so equal
+        // depths rank by direction and a direction holding the point at
+        // equal depth in both lists ranks its closest end first.
+        let key = |depth: usize, code: usize| ((depth as u64) << 32) | code as u64;
+        let mut start = vec![0usize; n + 1];
+        for list in self.closest.iter().chain(&self.furthest) {
+            for &(_, id) in list {
+                start[id as usize + 1] += 1;
+            }
+        }
+        for i in 0..n {
+            start[i + 1] += start[i];
+        }
+        let mut next = start.clone();
+        let mut hits = vec![0u64; start[n]];
+        for (kk, (close, far)) in self.closest.iter().zip(&self.furthest).enumerate() {
+            for (end, list) in [close, far].into_iter().enumerate() {
+                for (depth, &(_, id)) in list.iter().enumerate() {
+                    let slot = &mut next[id as usize];
+                    hits[*slot] = key(depth, kk << 1 | end);
+                    *slot += 1;
+                }
+            }
+        }
+        let mut probes = Vec::with_capacity(n * p);
+        for id in 0..n {
+            let row_start = probes.len();
+            let seg = &mut hits[start[id]..start[id + 1]];
+            seg.sort_unstable();
+            for &h in seg.iter() {
+                let code = h as u32;
+                // A direction's second hit is its deeper end.
+                if !probes[row_start..].iter().any(|&c| c >> 1 == code >> 1) {
+                    probes.push(code);
+                    if probes.len() - row_start == p {
+                        break;
+                    }
+                }
+            }
+            let mut kk = 0u32;
+            while probes.len() - row_start < p {
+                if !probes[row_start..].iter().any(|&c| c >> 1 == kk) {
+                    probes.push(kk << 1);
+                }
+                kk += 1;
+            }
+        }
+        probes
     }
 
     /// Number of indexed points.
@@ -271,43 +350,105 @@ impl RpIndex {
     /// the union of the [`RpConfig::probes`] *shallowest* directions'
     /// lists — shallowest by the point's own position in the stored
     /// list order (closest or furthest, whichever end the point is
-    /// nearer) — sorted ascending, deduplicated, `id` itself always
-    /// present. Dropped duplicates are charged to
+    /// nearer), as ranked when the index was built or extended —
+    /// sorted ascending, deduplicated, `id` itself always present.
+    /// Dropped duplicates are charged to
     /// [`RpStats::candidates_rejected`].
     pub fn candidates_for(&self, id: u32, out: &mut Vec<u32>, stats: &mut RpStats) {
         assert!((id as usize) < self.len, "query id {id} out of range");
-        let k = self.values.len();
-        let probes = (self.cfg.probes.max(1) as usize).min(k);
-        // Rank directions by the point's list depth ascending (see the
-        // crate docs: depth is invariant under per-direction common
-        // shifts, unlike |value|), direction index ascending — a total
-        // order, so probe choice is deterministic.
-        let mut ranked: Vec<(usize, usize, bool)> = (0..k)
-            .map(|kk| {
-                let probe = (self.values[kk][id as usize], id);
-                let dc = self.closest[kk].partition_point(|e| closest_cmp(e, &probe).is_lt());
-                let df = self.furthest[kk].partition_point(|e| furthest_cmp(e, &probe).is_lt());
-                (dc.min(df), kk, dc <= df)
-            })
-            .collect();
-        ranked.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
+        let p = self.probe_count();
         out.clear();
         out.push(id);
-        for &(_, kk, near_close) in ranked.iter().take(probes) {
-            let list = if near_close {
+        for &code in &self.probes[id as usize * p..(id as usize + 1) * p] {
+            let kk = (code >> 1) as usize;
+            let list = if code & 1 == 0 {
                 &self.closest[kk]
             } else {
                 &self.furthest[kk]
             };
             out.extend(list.iter().map(|&(_, pid)| pid));
         }
-        stats.projections += probes as u64;
+        stats.projections += p as u64;
         let raw = out.len();
         out.sort_unstable();
         out.dedup();
         stats.candidates_emitted += out.len() as u64;
         stats.candidates_rejected += (raw - out.len()) as u64;
     }
+}
+
+/// Replaces `list` with the first `m` entries of `list ∪ fresh` in
+/// `cmp` order, using `pool` as scratch. (value, id) is a total order,
+/// so selecting the first `m` and sorting only them yields exactly a
+/// full sort's prefix.
+fn reselect(
+    list: &mut Vec<Entry>,
+    fresh: impl Iterator<Item = Entry>,
+    m: usize,
+    cmp: impl Fn(&Entry, &Entry) -> std::cmp::Ordering + Copy,
+    pool: &mut Vec<Entry>,
+) {
+    pool.clear();
+    pool.extend_from_slice(list);
+    pool.extend(fresh);
+    if pool.len() > m {
+        pool.select_nth_unstable_by(m - 1, cmp);
+        pool.truncate(m);
+    }
+    pool.sort_unstable_by(cmp);
+    list.clear();
+    list.extend_from_slice(pool);
+}
+
+/// Projects every row of `coords` (row-major, `dim` values each) onto
+/// the directions in `dirs` (at most [`DIR_BLOCK`] rows of `dim`) and
+/// writes direction `j`'s value for row `i` to `out[j * rows + i]`.
+///
+/// Each (row, direction) value is one accumulator summed in ascending
+/// dimension order from `0.0`, exactly as a one-row scalar loop sums
+/// it, so blocking changes which values are computed together, never
+/// their bits.
+fn project_block(dirs: &[f64], coords: &[f64], dim: usize, out: &mut [f64]) {
+    let rows = coords.len() / dim;
+    let block = dirs.len() / dim;
+    // Dimension-major copy of the block, zero-padded to DIR_BLOCK.
+    let mut inter = vec![0.0f64; dim * DIR_BLOCK];
+    for (j, dir) in dirs.chunks_exact(dim).enumerate() {
+        for (d, &x) in dir.iter().enumerate() {
+            inter[d * DIR_BLOCK + j] = x;
+        }
+    }
+    let mut emit = |i: usize, acc: &[f64; DIR_BLOCK]| {
+        for (j, &v) in acc[..block].iter().enumerate() {
+            out[j * rows + i] = v;
+        }
+    };
+    let full = rows - rows % ROW_GROUP;
+    for i in (0..full).step_by(ROW_GROUP) {
+        let accs = project_rows::<ROW_GROUP>(&inter, &coords[i * dim..(i + ROW_GROUP) * dim], dim);
+        for (r, acc) in accs.iter().enumerate() {
+            emit(i + r, acc);
+        }
+    }
+    for i in full..rows {
+        let [acc] = project_rows::<1>(&inter, &coords[i * dim..(i + 1) * dim], dim);
+        emit(i, &acc);
+    }
+}
+
+/// `R` consecutive rows against one interleaved direction block.
+#[inline(always)]
+fn project_rows<const R: usize>(inter: &[f64], rows: &[f64], dim: usize) -> [[f64; DIR_BLOCK]; R] {
+    let mut acc = [[0.0f64; DIR_BLOCK]; R];
+    for (d, lanes) in inter.chunks_exact(DIR_BLOCK).enumerate() {
+        for (r, a) in acc.iter_mut().enumerate() {
+            let x = rows[r * dim + d];
+            for (aj, &t) in a.iter_mut().zip(lanes) {
+                *aj += t * x;
+            }
+        }
+    }
+    acc
 }
 
 /// `k` unit-norm Gaussian directions of dimension `dim`, drawn in a
@@ -369,11 +510,8 @@ mod tests {
         for (x, y) in a.dirs.iter().zip(&b.dirs) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
-        for kk in 0..a.values.len() {
-            assert_eq!(a.values[kk].len(), b.values[kk].len());
-            for (x, y) in a.values[kk].iter().zip(&b.values[kk]) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
+        assert_eq!(a.probes, b.probes);
+        for kk in 0..a.closest.len() {
             for (lists_a, lists_b) in [
                 (&a.closest[kk], &b.closest[kk]),
                 (&a.furthest[kk], &b.furthest[kk]),
@@ -385,6 +523,134 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The per-query ranking the probe codes replace, over lists and
+    /// values recomputed here one row at a time.
+    struct Reference {
+        /// Per direction: one value per point, point order.
+        values: Vec<Vec<f64>>,
+        closest: Vec<Vec<Entry>>,
+        furthest: Vec<Vec<Entry>>,
+        probes: usize,
+    }
+
+    impl Reference {
+        fn new(index: &RpIndex, coords: &[f64]) -> Self {
+            let dim = index.dim;
+            let m = index.cfg.top_m.max(1) as usize;
+            let values: Vec<Vec<f64>> = index
+                .dirs
+                .chunks_exact(dim)
+                .map(|dir| {
+                    coords
+                        .chunks_exact(dim)
+                        .map(|row| {
+                            let mut acc = 0.0f64;
+                            for d in 0..dim {
+                                acc += dir[d] * row[d];
+                            }
+                            acc
+                        })
+                        .collect()
+                })
+                .collect();
+            let list = |vals: &[f64], cmp: fn(&Entry, &Entry) -> std::cmp::Ordering| {
+                let mut all: Vec<Entry> = vals.iter().zip(0u32..).map(|(&v, i)| (v, i)).collect();
+                all.sort_unstable_by(cmp);
+                all.truncate(m);
+                all
+            };
+            Self {
+                closest: values.iter().map(|v| list(v, closest_cmp)).collect(),
+                furthest: values.iter().map(|v| list(v, furthest_cmp)).collect(),
+                probes: (index.cfg.probes.max(1) as usize).min(values.len()),
+                values,
+            }
+        }
+
+        /// Binary-searches both lists of every direction for `id`'s
+        /// depth, sorts by (depth, direction) and keeps the shallowest.
+        fn probe_codes(&self, id: u32) -> Vec<u32> {
+            let mut ranked: Vec<(usize, usize, bool)> = (0..self.values.len())
+                .map(|kk| {
+                    let probe = (self.values[kk][id as usize], id);
+                    let dc = self.closest[kk].partition_point(|e| closest_cmp(e, &probe).is_lt());
+                    let df = self.furthest[kk].partition_point(|e| furthest_cmp(e, &probe).is_lt());
+                    (dc.min(df), kk, dc <= df)
+                })
+                .collect();
+            ranked.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
+            ranked
+                .iter()
+                .take(self.probes)
+                .map(|&(_, kk, near_close)| (kk as u32) << 1 | u32::from(!near_close))
+                .collect()
+        }
+
+        fn candidates_for(&self, id: u32, out: &mut Vec<u32>, stats: &mut RpStats) {
+            out.clear();
+            out.push(id);
+            for code in self.probe_codes(id) {
+                let kk = (code >> 1) as usize;
+                let list = if code & 1 == 0 {
+                    &self.closest[kk]
+                } else {
+                    &self.furthest[kk]
+                };
+                out.extend(list.iter().map(|&(_, pid)| pid));
+            }
+            stats.projections += self.probes as u64;
+            let raw = out.len();
+            out.sort_unstable();
+            out.dedup();
+            stats.candidates_emitted += out.len() as u64;
+            stats.candidates_rejected += (raw - out.len()) as u64;
+        }
+
+        /// Asserts `index` holds exactly these lists (value bits and
+        /// ids), these probe codes, and answers every query like the
+        /// per-query ranking.
+        fn assert_matches(&self, index: &RpIndex) {
+            for (ours, theirs) in [
+                (&index.closest, &self.closest),
+                (&index.furthest, &self.furthest),
+            ] {
+                assert_eq!(ours.len(), theirs.len());
+                for (a, b) in ours.iter().zip(theirs) {
+                    let bits =
+                        |l: &[Entry]| l.iter().map(|&(v, i)| (v.to_bits(), i)).collect::<Vec<_>>();
+                    assert_eq!(bits(a), bits(b));
+                }
+            }
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            for id in 0..index.len() as u32 {
+                let p = self.probes;
+                let codes = &index.probes[id as usize * p..(id as usize + 1) * p];
+                assert_eq!(codes, self.probe_codes(id), "probes of point {id}");
+                let (mut got_stats, mut want_stats) = (RpStats::default(), RpStats::default());
+                index.candidates_for(id, &mut got, &mut got_stats);
+                self.candidates_for(id, &mut want, &mut want_stats);
+                assert_eq!(got, want, "candidates of point {id}");
+                assert_eq!(got_stats, want_stats, "stats of point {id}");
+            }
+        }
+    }
+
+    /// `n` seeded Gaussian rows of dimension `dim`; with `copies > 1`
+    /// every distinct row appears `copies` times in a row, so list
+    /// order between equal values falls to the id.
+    fn gaussian_rows(seed: u64, n: usize, dim: usize, copies: usize) -> Vec<f64> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut coords = Vec::with_capacity(n * dim);
+        while coords.len() < n * dim {
+            let row: Vec<f64> = (0..dim).map(|_| StandardNormal.sample(&mut rng)).collect();
+            for _ in 0..copies {
+                coords.extend_from_slice(&row);
+            }
+        }
+        coords.truncate(n * dim);
+        coords
     }
 
     #[test]
@@ -489,6 +755,41 @@ mod tests {
                 candidates_rejected: 33,
             }
         );
+    }
+
+    #[test]
+    fn derived_probes_and_values_match_the_per_query_ranking() {
+        // (n, dim, copies, projections, top_m, probes): n below top_m
+        // (every point in every list), n far above it (most points in
+        // no list, so probes fall back to the lowest directions), probes
+        // above projections, duplicated rows, and n and K that leave
+        // remainders after the row groups and direction blocks.
+        let cases = [
+            (20, 5, 1, 9, 32, 3),
+            (301, 7, 1, 19, 8, 4),
+            (2001, 6, 1, 16, 8, 4),
+            (150, 4, 1, 3, 10, 5),
+            (90, 6, 3, 17, 12, 2),
+            (300, 9, 1, 40, 24, 3),
+        ];
+        for (seed, &(n, dim, copies, k, m, probes)) in (11u64..).zip(&cases) {
+            let coords = gaussian_rows(seed, n, dim, copies);
+            let cfg = RpConfig::new(seed).projections(k).top_m(m).probes(probes);
+            let fresh = RpIndex::build(dim, &coords, cfg);
+            Reference::new(&fresh, &coords).assert_matches(&fresh);
+            let third = n / 3;
+            for splits in [vec![third, 0, n - third], vec![1, n - 1 - third, third]] {
+                let mut index = RpIndex::build(dim, &coords[..splits[0] * dim], cfg);
+                let mut off = splits[0];
+                for &chunk in &splits[1..] {
+                    index = index.extend(&coords[off * dim..(off + chunk) * dim]);
+                    off += chunk;
+                    let prefix = &coords[..off * dim];
+                    Reference::new(&index, prefix).assert_matches(&index);
+                }
+                assert_index_eq(&fresh, &index);
+            }
+        }
     }
 
     #[test]
