@@ -1,9 +1,11 @@
 //! Observability overhead: the cost of tracing must be noise.
 //!
-//! Builds fresh n≈10k engines with a no-op recorder and with a real
+//! Builds one n≈10k engine with a no-op recorder and one with a real
 //! `MetricsRecorder`, runs the exact and streaming paths, and prints one
 //! JSON document to stdout with min-of-repeats wall clock for both
-//! modes. Progress rows (TSV) go to stderr. Re-record the checked-in
+//! modes. Each repeat runs both modes, alternating which goes first, so
+//! drift of the host over the run lands on both. Progress rows (TSV) go
+//! to stderr. Re-record the checked-in
 //! `BENCH_obs.json` with
 //! `cargo run --release -p mdbscan_bench --bin obs_overhead > BENCH_obs.json`.
 //! At `--scale` ≥ 1 the headline is asserted: recorder-on overhead
@@ -30,7 +32,7 @@ use mdbscan_obs::{Phase, Registry};
 const EPS: f64 = 1.0;
 const MIN_PTS: usize = 10;
 const RHO: f64 = 0.5;
-const REPEATS: usize = 5;
+const REPEATS: usize = 60;
 
 struct ModeTimings {
     exact_ms: f64,
@@ -39,33 +41,43 @@ struct ModeTimings {
     streaming_assignments: Vec<i32>,
 }
 
-/// Min-of-repeats timings for one recorder mode, each repeat on a
-/// fresh engine so no fragment-cache hit flatters a later run.
-fn run_mode(
+/// Min-of-repeats timings for each recorder mode, in `recorders`
+/// order. Each mode gets one engine that caches nothing, so every call
+/// is cold; every repeat calls both engines, and the modes take turns
+/// going first.
+fn run_modes(
     pts: &[Vec<f64>],
     rbar: f64,
     params: &DbscanParams,
     aparams: &ApproxParams,
-    recorder: &Arc<dyn Recorder>,
-) -> ModeTimings {
-    let mut out = ModeTimings {
+    recorders: [&Arc<dyn Recorder>; 2],
+) -> [ModeTimings; 2] {
+    let engines = recorders.map(|recorder| {
+        MetricDbscan::builder(pts.to_vec(), Euclidean)
+            .rbar(rbar)
+            .recorder(Arc::clone(recorder))
+            .cache_capacity(0)
+            .build()
+            .expect("engine build")
+    });
+    let mut out = [(); 2].map(|_| ModeTimings {
         exact_ms: f64::INFINITY,
         streaming_ms: f64::INFINITY,
         exact_assignments: Vec::new(),
         streaming_assignments: Vec::new(),
-    };
-    for _ in 0..REPEATS {
-        let engine = MetricDbscan::builder(pts.to_vec(), Euclidean)
-            .rbar(rbar)
-            .recorder(Arc::clone(recorder))
-            .build()
-            .expect("engine build");
-        let (exact, exact_ms) = timed(|| engine.exact(params).expect("exact run"));
-        let (streaming, streaming_ms) = timed(|| engine.streaming(aparams).expect("streaming run"));
-        out.exact_ms = out.exact_ms.min(exact_ms);
-        out.streaming_ms = out.streaming_ms.min(streaming_ms);
-        out.exact_assignments = exact.clustering.assignments();
-        out.streaming_assignments = streaming.clustering.assignments();
+    });
+    for repeat in 0..REPEATS {
+        for mode in [repeat % 2, 1 - repeat % 2] {
+            let engine = &engines[mode];
+            let (exact, exact_ms) = timed(|| engine.exact(params).expect("exact run"));
+            let (streaming, streaming_ms) =
+                timed(|| engine.streaming(aparams).expect("streaming run"));
+            let t = &mut out[mode];
+            t.exact_ms = t.exact_ms.min(exact_ms);
+            t.streaming_ms = t.streaming_ms.min(streaming_ms);
+            t.exact_assignments = exact.clustering.assignments();
+            t.streaming_assignments = streaming.clustering.assignments();
+        }
     }
     out
 }
@@ -91,15 +103,9 @@ fn main() {
     let rbar = aparams.rbar();
 
     let noop: Arc<dyn Recorder> = Arc::new(NoopRecorder);
-    let baseline = run_mode(&pts, rbar, &params, &aparams, &noop);
     let registry = Registry::new();
-    let recorded = run_mode(
-        &pts,
-        rbar,
-        &params,
-        &aparams,
-        &MetricsRecorder::shared(&registry),
-    );
+    let metrics = MetricsRecorder::shared(&registry);
+    let [baseline, recorded] = run_modes(&pts, rbar, &params, &aparams, [&noop, &metrics]);
 
     // The read-only contract at bench scale.
     let labels_match = baseline.exact_assignments == recorded.exact_assignments

@@ -14,6 +14,9 @@
 //! `BENCH_distance_evals.json` is the checked-in record of the pruning
 //! panel at n = 5k; re-record it with a redirect:
 //! `cargo run --release -p mdbscan_bench --bin thread_scaling -- --scale 0.05 > BENCH_distance_evals.json`.
+//! CI runs the bin at that scale and requires every `solvers` row to
+//! equal the record's in every field but `wall_ms`, so a change that
+//! moves a work counter re-records the file.
 //!
 //! `--scale 0.1` shrinks the dataset for smoke runs; `--full` runs the
 //! million-point panel regardless of `--scale`.

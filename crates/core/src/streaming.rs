@@ -37,13 +37,28 @@
 //! the offline merge. Labels are bit-identical with pruning on or off
 //! ([`mdbscan_metric::PruningConfig`]); [`StreamingStats::pruning`]
 //! carries the ledger.
+//!
+//! The anchors are kept sorted: the centers' in an ordered set that
+//! grows during pass 1, the parked candidates' once `finish_pass1` has
+//! pruned `M`, the summary's once `finish_pass2` has built `S*`. A
+//! threshold test at `bound` then visits only the contiguous band
+//! `|d₀ − anchor| ≤ bound`, found by binary search, and counts every
+//! stored point outside it as a bound reject without touching it. The
+//! first-fit scans (pass 1 and the pass-3 replay) mark the band in a
+//! bitset and read it back in index order, so the owner is still the
+//! lowest-index center within `r̄`; the pass-3 nearest-member scan reads
+//! its band back in summary order, so its shrinking bound and tie rule
+//! see the members in the linear scan's order. A stream point costs
+//! `O(log k + band + k/64)` against `k` centers instead of `O(k)`, with
+//! the linear scan's labels, evaluations and ledger.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::collections::BTreeSet;
+use std::ops::Bound;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 use mdbscan_metric::{Metric, PruneStats, PruningConfig};
-use mdbscan_parallel::{par_map_range, ParallelConfig};
+use mdbscan_parallel::{par_map_ranges, split_even, worker_count, ParallelConfig};
 use mdbscan_rp::{RpIndex, RpStats};
 
 use crate::error::DbscanError;
@@ -140,6 +155,90 @@ struct Parked<P> {
     summary_pos: u32,
 }
 
+/// A first-center anchor ordered by [`f64::total_cmp`]: the key of the
+/// sorted center set.
+#[derive(Debug, Clone, Copy)]
+struct Anchor(f64);
+
+impl PartialEq for Anchor {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for Anchor {}
+
+impl PartialOrd for Anchor {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Anchor {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.0.total_cmp(&other.0)
+    }
+}
+
+/// Pruning and RP counters gathered by one caller — a pass-1 or pass-2
+/// observation, or a pass-3 worker — and added to the engine's ledger
+/// once.
+#[derive(Debug, Clone, Copy, Default)]
+struct Ledger {
+    prune: PruneStats,
+    rp: RpStats,
+}
+
+impl Ledger {
+    fn merge(&mut self, other: &Ledger) {
+        self.prune.merge(&other.prune);
+        self.rp.merge(&other.rp);
+    }
+}
+
+/// A bitset over stored-point indices: a band is marked in anchor order
+/// and read back in index order.
+#[derive(Default)]
+struct Marks(Vec<u64>);
+
+impl Marks {
+    /// Clears the set and sizes it for indices `0..len`.
+    fn reset(&mut self, len: usize) {
+        self.0.clear();
+        self.0.resize(len.div_ceil(64), 0);
+    }
+
+    fn insert(&mut self, i: usize) {
+        self.0[i / 64] |= 1 << (i % 64);
+    }
+
+    /// The marked indices, ascending.
+    fn ascending(&self) -> impl Iterator<Item = usize> + '_ {
+        self.0.iter().enumerate().flat_map(|(w, &word)| {
+            std::iter::successors((word != 0).then_some(word), |&x| {
+                let rest = x & (x - 1);
+                (rest != 0).then_some(rest)
+            })
+            .map(move |x| w * 64 + x.trailing_zeros() as usize)
+        })
+    }
+}
+
+/// Buffers and counters of one caller of the scans: the sequential
+/// passes keep one in the engine, each pass-3 worker makes its own.
+#[derive(Default)]
+struct ScanBuffers {
+    /// The first-fit band, one bit per center.
+    centers: Marks,
+    /// The nearest-member band, one bit per summary position.
+    summary: Marks,
+    /// Stored points (or summary positions) a scan selected.
+    hits: Vec<u32>,
+    /// RP candidates of the current stream point.
+    rp: Vec<u32>,
+    ledger: Ledger,
+}
+
 /// The streaming ρ-approximate DBSCAN engine (paper Algorithm 3).
 ///
 /// Drive it manually — `pass1_observe* → finish_pass1 → pass2_observe* →
@@ -167,7 +266,20 @@ pub struct StreamingApproxDbscan<'m, P, M> {
     rbar: f64,
     phase: Phase,
     centers: Vec<Center<P>>,
+    /// `(anchor, index)` of every center but `E[0]` (whose test is `d₀`
+    /// itself), sorted by anchor; empty with pruning off.
+    center_order: BTreeSet<(Anchor, u32)>,
     parked: Vec<Parked<P>>,
+    /// `(anchor, index)` of every parked candidate, sorted by anchor;
+    /// built by `finish_pass1`.
+    parked_order: Vec<(f64, u32)>,
+    /// Summary `S*` by position — core centers in index order, then
+    /// certified parked candidates in index order — built by
+    /// `finish_pass2`, with each member's anchor.
+    summary_points: Vec<P>,
+    summary_anchors: Vec<f64>,
+    /// `(anchor, position)` of every summary member, sorted by anchor.
+    summary_order: Vec<(f64, u32)>,
     /// Cluster id per summary position, filled by `finish_pass2`.
     summary_clusters: Vec<u32>,
     /// Parked candidates not yet certified in pass 2 — when this hits
@@ -179,45 +291,118 @@ pub struct StreamingApproxDbscan<'m, P, M> {
     /// Optional random-projection candidate index over the *stream in
     /// arrival order* (see [`StreamingApproxDbscan::with_index`]).
     index: Option<Arc<RpIndex>>,
-    /// Scratch candidate buffer for the sequential passes.
-    rp_buf: Vec<u32>,
+    /// Buffers of the sequential passes.
+    buffers: ScanBuffers,
     stats: StreamingStats,
-    // Pruning counters as relaxed atomics: pass 3 labels through `&self`
-    // from many threads at once.
-    p_accepts: AtomicU64,
-    p_rejects: AtomicU64,
-    p_anchors: AtomicU64,
-    // RP candidate-generation ledger, same atomic shape (pass 3 is
-    // concurrent).
-    rp_projections: AtomicU64,
-    rp_emitted: AtomicU64,
-    rp_rejected: AtomicU64,
+    /// Pruning and RP counters. Passes 1 and 2 add to it through
+    /// `get_mut`; pass 3 labels through `&self` from many threads, so
+    /// each worker adds its share once, under the lock. A poisoned lock
+    /// is taken over: each update is one counter merge, so the counters
+    /// are valid whenever the lock is free.
+    ledger: Mutex<Ledger>,
 }
 
-/// One stored point's threshold test `dis(x, p) ≤ bound`, decided by the
-/// first-center anchor when possible. Returns the decision and whether
-/// it was free.
+/// `true` for an anchor `a` left of the band `|d₀ − a| ≤ bound`: the
+/// `a < d₀` half of the linear scan's reject test `(d₀ − a).abs() >
+/// bound`, in the same floating-point form. Under round-to-nearest it
+/// holds on a prefix of ascending anchors.
 #[inline]
-#[allow(clippy::too_many_arguments)] // per-pair hot-path helper
-fn anchored_within<P, M: Metric<P>>(
+fn left_of_band(a: f64, d0: f64, bound: f64) -> bool {
+    a < d0 && d0 - a > bound
+}
+
+/// `true` for an anchor `a` not right of the band: the negated `a > d₀`
+/// half of the reject test, which holds on a prefix of ascending
+/// anchors. An anchor is in the band exactly when this holds and
+/// [`left_of_band`] does not, i.e. when `!((d₀ − a).abs() > bound)`.
+#[inline]
+fn before_band_end(a: f64, d0: f64, bound: f64) -> bool {
+    a <= d0 || a - d0 <= bound
+}
+
+/// The band `|d₀ − anchor| ≤ bound` of an anchor-sorted list.
+fn band(sorted: &[(f64, u32)], d0: f64, bound: f64) -> &[(f64, u32)] {
+    let lo = sorted.partition_point(|&(a, _)| left_of_band(a, d0, bound));
+    let len = sorted[lo..].partition_point(|&(a, _)| before_band_end(a, d0, bound));
+    &sorted[lo..lo + len]
+}
+
+/// The band `|d₀ − anchor| ≤ bound` of the sorted center set, as center
+/// indices in anchor order.
+fn center_band(
+    order: &BTreeSet<(Anchor, u32)>,
+    d0: f64,
+    bound: f64,
+) -> impl Iterator<Item = usize> + '_ {
+    // A start left of the band has every smaller anchor left of it too;
+    // the slack covers the subtraction's rounding, and the walk trims
+    // whatever it let in. Without such a start the walk begins at the
+    // front.
+    let start = d0 - bound - 4.0 * f64::EPSILON * (d0 + bound);
+    let from = if left_of_band(start, d0, bound) {
+        Bound::Included((Anchor(start), 0))
+    } else {
+        Bound::Unbounded
+    };
+    order
+        .range((from, Bound::Unbounded))
+        .skip_while(move |(a, _)| left_of_band(a.0, d0, bound))
+        .take_while(move |(a, _)| before_band_end(a.0, d0, bound))
+        .map(|&(_, i)| i as usize)
+}
+
+/// `(anchor, id)` pairs sorted by anchor, ties by id.
+fn sorted_by_anchor(anchors: impl Iterator<Item = f64>) -> Vec<(f64, u32)> {
+    let mut order: Vec<(f64, u32)> = anchors.zip(0..).collect();
+    order.sort_unstable_by(|x, y| x.0.total_cmp(&y.0).then(x.1.cmp(&y.1)));
+    order
+}
+
+/// The threshold test `dis(x, p) ≤ bound` for a stored point inside the
+/// anchor band: free when `d₀ + anchor ≤ bound`, one evaluation
+/// otherwise.
+#[inline]
+fn band_within<P, M: Metric<P>>(
     metric: &M,
     stored: &P,
-    stored_anchor: f64,
+    anchor: f64,
     p: &P,
     d0: f64,
     bound: f64,
-    accepts: &AtomicU64,
-    rejects: &AtomicU64,
+    accepts: &mut u64,
 ) -> bool {
-    if (d0 - stored_anchor).abs() > bound {
-        rejects.fetch_add(1, Ordering::Relaxed);
-        return false;
-    }
-    if d0 + stored_anchor <= bound {
-        accepts.fetch_add(1, Ordering::Relaxed);
+    if d0 + anchor <= bound {
+        *accepts += 1;
         return true;
     }
     metric.within(stored, p, bound)
+}
+
+/// As [`band_within`], for a stored point that may lie outside the band
+/// (the RP-filtered scans): outside it, the anchors reject it.
+#[inline]
+fn anchored_within<P, M: Metric<P>>(
+    metric: &M,
+    stored: &P,
+    anchor: f64,
+    p: &P,
+    d0: f64,
+    bound: f64,
+    prune: &mut PruneStats,
+) -> bool {
+    if (d0 - anchor).abs() > bound {
+        prune.bound_rejects += 1;
+        return false;
+    }
+    band_within(
+        metric,
+        stored,
+        anchor,
+        p,
+        d0,
+        bound,
+        &mut prune.bound_accepts,
+    )
 }
 
 impl<'m, P: Clone + Sync, M: Metric<P> + Sync> StreamingApproxDbscan<'m, P, M> {
@@ -231,26 +416,28 @@ impl<'m, P: Clone + Sync, M: Metric<P> + Sync> StreamingApproxDbscan<'m, P, M> {
             rbar: params.rbar(),
             phase: Phase::Pass1,
             centers: Vec::new(),
+            center_order: BTreeSet::new(),
             parked: Vec::new(),
+            parked_order: Vec::new(),
+            summary_points: Vec::new(),
+            summary_anchors: Vec::new(),
+            summary_order: Vec::new(),
             summary_clusters: Vec::new(),
             pass2_pending: 0,
             pass2_seen: 0,
             index: None,
-            rp_buf: Vec::new(),
+            buffers: ScanBuffers::default(),
             stats: StreamingStats::default(),
-            p_accepts: AtomicU64::new(0),
-            p_rejects: AtomicU64::new(0),
-            p_anchors: AtomicU64::new(0),
-            rp_projections: AtomicU64::new(0),
-            rp_emitted: AtomicU64::new(0),
-            rp_rejected: AtomicU64::new(0),
+            ledger: Mutex::new(Ledger::default()),
         }
     }
 
     /// Sets the thread knob for the offline summary merge and the
     /// batched pass-3 labeling. Passes 1 and 2 are inherently
     /// sequential (first-fit netting depends on arrival order); the
-    /// result is identical for every thread count.
+    /// result is identical for every thread count. Each pass-3 worker
+    /// keeps its own buffers and counters and adds them to the run's
+    /// ledger once, so workers share no counter while labeling.
     pub fn with_parallel(mut self, parallel: ParallelConfig) -> Self {
         self.parallel = parallel;
         self
@@ -302,21 +489,14 @@ impl<'m, P: Clone + Sync, M: Metric<P> + Sync> StreamingApproxDbscan<'m, P, M> {
     /// `out` (sorted, deduped, `sid` included) and returns `true`, or
     /// returns `false` to scan everything (no index attached, or the
     /// stream ran past the index's coverage).
-    fn rp_candidates(&self, sid: usize, out: &mut Vec<u32>) -> bool {
+    fn rp_candidates(&self, sid: usize, out: &mut Vec<u32>, ledger: &mut Ledger) -> bool {
         let Some(rp) = self.index.as_deref() else {
             return false;
         };
         if sid >= rp.len() {
             return false;
         }
-        let mut stats = RpStats::default();
-        rp.candidates_for(sid as u32, out, &mut stats);
-        self.rp_projections
-            .fetch_add(stats.projections, Ordering::Relaxed);
-        self.rp_emitted
-            .fetch_add(stats.candidates_emitted, Ordering::Relaxed);
-        self.rp_rejected
-            .fetch_add(stats.candidates_rejected, Ordering::Relaxed);
+        rp.candidates_for(sid as u32, out, &mut ledger.rp);
         true
     }
 
@@ -324,66 +504,75 @@ impl<'m, P: Clone + Sync, M: Metric<P> + Sync> StreamingApproxDbscan<'m, P, M> {
     /// `None` when pruning is off / no center exists yet. One metric
     /// call, counted as an anchor evaluation.
     #[inline]
-    fn anchor_of(&self, p: &P) -> Option<f64> {
+    fn anchor_of(&self, p: &P, ledger: &mut Ledger) -> Option<f64> {
         if !self.pruning.enabled || self.centers.is_empty() {
             return None;
         }
-        self.p_anchors.fetch_add(1, Ordering::Relaxed);
+        ledger.prune.anchor_evals += 1;
         Some(self.metric.distance(&self.centers[0].point, p))
     }
 
-    /// Pass 1: observe one stream point (clones it only if it becomes a
-    /// center or parks in `M`).
-    pub fn pass1_observe(&mut self, p: &P) {
-        assert_eq!(self.phase, Phase::Pass1, "pass1_observe outside pass 1");
-        let sid = self.stats.n;
-        self.stats.n += 1;
-        let eps = self.params.eps();
-        let min_pts = self.params.min_pts();
-        let d0 = self.anchor_of(p);
-        // First-fit netting (paper lines 3–5).
-        let mut owner: Option<u32> = None;
-        for (i, c) in self.centers.iter().enumerate() {
-            let within = match d0 {
-                // The anchor distance *is* the test against center 0.
-                Some(d0) if i == 0 => d0 <= self.rbar,
-                Some(d0) => anchored_within(
-                    self.metric,
-                    &c.point,
-                    c.d_to_first,
-                    p,
-                    d0,
-                    self.rbar,
-                    &self.p_accepts,
-                    &self.p_rejects,
-                ),
-                None => self.metric.within(&c.point, p, self.rbar),
-            };
-            if within {
-                owner = Some(i as u32);
-                break;
+    /// Adds a sequential caller's counters to the engine's ledger.
+    fn absorb(&mut self, ledger: Ledger) {
+        self.ledger
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
+            .merge(&ledger);
+    }
+
+    /// First-fit owner of `p`: the lowest-index center within `r̄`, or
+    /// `None`. With an anchor only the band is visited, in index order,
+    /// and every center past `E[0]` and before the owner (all of them,
+    /// without one) that lies outside the band is a bound reject.
+    fn first_fit(&self, p: &P, d0: Option<f64>, s: &mut ScanBuffers) -> Option<u32> {
+        let rbar = self.rbar;
+        let Some(d0) = d0 else {
+            return self
+                .centers
+                .iter()
+                .position(|c| self.metric.within(&c.point, p, rbar))
+                .map(|i| i as u32);
+        };
+        // The anchor distance *is* the test against center 0.
+        if d0 <= rbar {
+            return Some(0);
+        }
+        s.centers.reset(self.centers.len());
+        let mut band = 0;
+        for i in center_band(&self.center_order, d0, rbar) {
+            s.centers.insert(i);
+            band += 1;
+        }
+        let prune = &mut s.ledger.prune;
+        for (visited, i) in s.centers.ascending().enumerate() {
+            let c = &self.centers[i];
+            if band_within(
+                self.metric,
+                &c.point,
+                c.d_to_first,
+                p,
+                d0,
+                rbar,
+                &mut prune.bound_accepts,
+            ) {
+                prune.bound_rejects += (i - 1 - visited) as u64;
+                return Some(i as u32);
             }
         }
-        if owner.is_none() {
-            self.centers.push(Center {
-                point: p.clone(),
-                stream_id: sid as u32,
-                d_to_first: d0.unwrap_or(0.0),
-                eps_count: 0,
-                core: false,
-                summary_pos: u32::MAX,
-            });
-            owner = Some((self.centers.len() - 1) as u32);
-        }
-        let owner = owner.expect("owner set above");
-        // ε-ball counting for every center (lines 6–12), restricted to
-        // the arriving point's RP candidates when an index is attached
-        // (both lists ascend in stream id — a merge join).
-        let mut buf = std::mem::take(&mut self.rp_buf);
-        let filtered = self.rp_candidates(sid, &mut buf);
-        let mut k = 0usize;
-        for (i, c) in self.centers.iter_mut().enumerate() {
-            if filtered {
+        prune.bound_rejects += (self.centers.len() - 1 - band) as u64;
+        None
+    }
+
+    /// Pass-1 ε-ball counting: fills `s.hits` with every center within
+    /// ε of `p`, restricted to the point's RP candidates when an index
+    /// is attached (both lists ascend in stream id — a merge join).
+    fn centers_within_eps(&self, sid: usize, p: &P, d0: Option<f64>, s: &mut ScanBuffers) {
+        let eps = self.params.eps();
+        s.hits.clear();
+        if self.rp_candidates(sid, &mut s.rp, &mut s.ledger) {
+            let buf = &s.rp;
+            let mut k = 0usize;
+            for (i, c) in self.centers.iter().enumerate() {
                 while k < buf.len() && buf[k] < c.stream_id {
                     k += 1;
                 }
@@ -393,29 +582,172 @@ impl<'m, P: Clone + Sync, M: Metric<P> + Sync> StreamingApproxDbscan<'m, P, M> {
                 if buf[k] != c.stream_id {
                     continue;
                 }
-            }
-            let within = match d0 {
-                Some(d0) if i == 0 => d0 <= eps,
-                Some(d0) => anchored_within(
-                    self.metric,
-                    &c.point,
-                    c.d_to_first,
-                    p,
-                    d0,
-                    eps,
-                    &self.p_accepts,
-                    &self.p_rejects,
-                ),
-                None => self.metric.within(&c.point, p, eps),
-            };
-            if within {
-                c.eps_count += 1;
-                if c.eps_count >= min_pts {
-                    c.core = true;
+                let within = match d0 {
+                    Some(d0) if i == 0 => d0 <= eps,
+                    Some(d0) => anchored_within(
+                        self.metric,
+                        &c.point,
+                        c.d_to_first,
+                        p,
+                        d0,
+                        eps,
+                        &mut s.ledger.prune,
+                    ),
+                    None => self.metric.within(&c.point, p, eps),
+                };
+                if within {
+                    s.hits.push(i as u32);
                 }
             }
+            return;
         }
-        self.rp_buf = buf;
+        let Some(d0) = d0 else {
+            s.hits.extend(
+                (0..)
+                    .zip(&self.centers)
+                    .filter(|(_, c)| self.metric.within(&c.point, p, eps))
+                    .map(|(i, _)| i),
+            );
+            return;
+        };
+        if d0 <= eps {
+            s.hits.push(0);
+        }
+        let prune = &mut s.ledger.prune;
+        let mut band = 0;
+        for i in center_band(&self.center_order, d0, eps) {
+            band += 1;
+            let c = &self.centers[i];
+            if band_within(
+                self.metric,
+                &c.point,
+                c.d_to_first,
+                p,
+                d0,
+                eps,
+                &mut prune.bound_accepts,
+            ) {
+                s.hits.push(i as u32);
+            }
+        }
+        prune.bound_rejects += (self.centers.len() - 1 - band) as u64;
+    }
+
+    /// Pass-2 recount: fills `s.hits` with every parked candidate not
+    /// yet certified that lies within ε of `p`, restricted to the RP
+    /// candidates as in pass 1 (the parked list ascends in stream id;
+    /// `retain` kept the order). Certified candidates are skipped
+    /// before any test, so the uncertified ones outside the band are
+    /// the bound rejects.
+    fn parked_within_eps(&self, sid: usize, p: &P, d0: Option<f64>, s: &mut ScanBuffers) {
+        let eps = self.params.eps();
+        let min_pts = self.params.min_pts();
+        s.hits.clear();
+        if self.rp_candidates(sid, &mut s.rp, &mut s.ledger) {
+            let buf = &s.rp;
+            let mut k = 0usize;
+            for (i, m) in self.parked.iter().enumerate() {
+                if m.eps_count >= min_pts {
+                    continue;
+                }
+                while k < buf.len() && buf[k] < m.stream_id {
+                    k += 1;
+                }
+                if k >= buf.len() {
+                    break;
+                }
+                if buf[k] != m.stream_id {
+                    continue;
+                }
+                let within = match d0 {
+                    Some(d0) => anchored_within(
+                        self.metric,
+                        &m.point,
+                        m.d_to_first,
+                        p,
+                        d0,
+                        eps,
+                        &mut s.ledger.prune,
+                    ),
+                    None => self.metric.within(&m.point, p, eps),
+                };
+                if within {
+                    s.hits.push(i as u32);
+                }
+            }
+            return;
+        }
+        let Some(d0) = d0 else {
+            s.hits.extend(
+                (0..)
+                    .zip(&self.parked)
+                    .filter(|(_, m)| m.eps_count < min_pts && self.metric.within(&m.point, p, eps))
+                    .map(|(i, _)| i),
+            );
+            return;
+        };
+        let prune = &mut s.ledger.prune;
+        let mut uncertified = 0;
+        for &(_, i) in band(&self.parked_order, d0, eps) {
+            let m = &self.parked[i as usize];
+            if m.eps_count >= min_pts {
+                continue;
+            }
+            uncertified += 1;
+            if band_within(
+                self.metric,
+                &m.point,
+                m.d_to_first,
+                p,
+                d0,
+                eps,
+                &mut prune.bound_accepts,
+            ) {
+                s.hits.push(i);
+            }
+        }
+        prune.bound_rejects += (self.pass2_pending - uncertified) as u64;
+    }
+
+    /// Pass 1: observe one stream point (clones it only if it becomes a
+    /// center or parks in `M`).
+    pub fn pass1_observe(&mut self, p: &P) {
+        assert_eq!(self.phase, Phase::Pass1, "pass1_observe outside pass 1");
+        let sid = self.stats.n;
+        self.stats.n += 1;
+        let min_pts = self.params.min_pts();
+        let mut s = std::mem::take(&mut self.buffers);
+        let d0 = self.anchor_of(p, &mut s.ledger);
+        // First-fit netting (paper lines 3–5).
+        let owner = match self.first_fit(p, d0, &mut s) {
+            Some(owner) => owner,
+            None => {
+                let i = self.centers.len() as u32;
+                self.centers.push(Center {
+                    point: p.clone(),
+                    stream_id: sid as u32,
+                    d_to_first: d0.unwrap_or(0.0),
+                    eps_count: 0,
+                    core: false,
+                    summary_pos: u32::MAX,
+                });
+                if let Some(d0) = d0 {
+                    self.center_order.insert((Anchor(d0), i));
+                }
+                i
+            }
+        };
+        // ε-ball counting for every center (lines 6–12).
+        self.centers_within_eps(sid, p, d0, &mut s);
+        for &i in &s.hits {
+            let c = &mut self.centers[i as usize];
+            c.eps_count += 1;
+            if c.eps_count >= min_pts {
+                c.core = true;
+            }
+        }
+        self.absorb(std::mem::take(&mut s.ledger));
+        self.buffers = s;
         // Park p under its owner if that owner is not (yet) core. Centers
         // park themselves too — their own pass-1 count misses earlier
         // arrivals, so certification is finished in pass 2.
@@ -435,7 +767,7 @@ impl<'m, P: Clone + Sync, M: Metric<P> + Sync> StreamingApproxDbscan<'m, P, M> {
 
     /// Ends pass 1: prunes `M` entries whose center got certified core
     /// (their ball is represented by the center itself, exactly as in
-    /// Algorithm 2's summary rule).
+    /// Algorithm 2's summary rule), and sorts the survivors' anchors.
     pub fn finish_pass1(&mut self) {
         assert_eq!(self.phase, Phase::Pass1, "finish_pass1 outside pass 1");
         let centers = &self.centers;
@@ -443,6 +775,7 @@ impl<'m, P: Clone + Sync, M: Metric<P> + Sync> StreamingApproxDbscan<'m, P, M> {
         // A center parked under itself before *another* center... cannot
         // happen (first-fit: a center's owner is itself); but a parked
         // duplicate of a center point is fine — it just recounts.
+        self.parked_order = sorted_by_anchor(self.parked.iter().map(|m| m.d_to_first));
         self.pass2_pending = self.parked.len();
         self.phase = Phase::Pass2;
     }
@@ -453,59 +786,25 @@ impl<'m, P: Clone + Sync, M: Metric<P> + Sync> StreamingApproxDbscan<'m, P, M> {
         assert_eq!(self.phase, Phase::Pass2, "pass2_observe outside pass 2");
         let sid = self.pass2_seen;
         self.pass2_seen += 1;
-        let eps = self.params.eps();
         let min_pts = self.params.min_pts();
         // Once every parked candidate is certified, the pass is a no-op
         // per point — in particular no anchor evaluation is paid.
         if self.pass2_pending == 0 {
             return;
         }
-        let d0 = self.anchor_of(p);
-        // Same RP restriction as pass 1: only parked candidates in the
-        // replayed point's candidate set recount it (merge join — the
-        // parked list ascends in stream id, `retain` kept the order).
-        let mut buf = std::mem::take(&mut self.rp_buf);
-        let filtered = self.rp_candidates(sid, &mut buf);
-        let mut k = 0usize;
-        let mut pending = self.pass2_pending;
-        for m in self.parked.iter_mut() {
+        let mut s = std::mem::take(&mut self.buffers);
+        let d0 = self.anchor_of(p, &mut s.ledger);
+        self.parked_within_eps(sid, p, d0, &mut s);
+        for &i in &s.hits {
+            let m = &mut self.parked[i as usize];
+            m.eps_count += 1;
             if m.eps_count >= min_pts {
-                continue;
-            }
-            if filtered {
-                while k < buf.len() && buf[k] < m.stream_id {
-                    k += 1;
-                }
-                if k >= buf.len() {
-                    break;
-                }
-                if buf[k] != m.stream_id {
-                    continue;
-                }
-            }
-            let within = match d0 {
-                Some(d0) => anchored_within(
-                    self.metric,
-                    &m.point,
-                    m.d_to_first,
-                    p,
-                    d0,
-                    eps,
-                    &self.p_accepts,
-                    &self.p_rejects,
-                ),
-                None => self.metric.within(&m.point, p, eps),
-            };
-            if within {
-                m.eps_count += 1;
-                if m.eps_count >= min_pts {
-                    m.core = true;
-                    pending -= 1;
-                }
+                m.core = true;
+                self.pass2_pending -= 1;
             }
         }
-        self.pass2_pending = pending;
-        self.rp_buf = buf;
+        self.absorb(std::mem::take(&mut s.ledger));
+        self.buffers = s;
     }
 
     /// Ends pass 2: assembles the summary `S*` (core centers + certified
@@ -514,45 +813,26 @@ impl<'m, P: Clone + Sync, M: Metric<P> + Sync> StreamingApproxDbscan<'m, P, M> {
     /// threshold are unioned (or skipped) without a distance test.
     pub fn finish_pass2(&mut self) {
         assert_eq!(self.phase, Phase::Pass2, "finish_pass2 outside pass 2");
-        // Collect summary points: (clone of point, slot)
-        enum Slot {
-            Center(usize),
-            Parked(usize),
+        let mut points: Vec<P> = Vec::new();
+        let mut anchors: Vec<f64> = Vec::new();
+        for c in self.centers.iter_mut().filter(|c| c.core) {
+            c.summary_pos = points.len() as u32;
+            points.push(c.point.clone());
+            anchors.push(c.d_to_first);
         }
-        let mut slots: Vec<Slot> = Vec::new();
-        for (i, c) in self.centers.iter().enumerate() {
-            if c.core {
-                slots.push(Slot::Center(i));
-            }
+        for m in self.parked.iter_mut().filter(|m| m.core) {
+            m.summary_pos = points.len() as u32;
+            points.push(m.point.clone());
+            anchors.push(m.d_to_first);
         }
-        for (i, m) in self.parked.iter().enumerate() {
-            if m.core {
-                slots.push(Slot::Parked(i));
-            }
-        }
-        for (pos, slot) in slots.iter().enumerate() {
-            match slot {
-                Slot::Center(i) => self.centers[*i].summary_pos = pos as u32,
-                Slot::Parked(i) => self.parked[*i].summary_pos = pos as u32,
-            }
-        }
-        let summary_points: Vec<P> = slots
-            .iter()
-            .map(|s| match s {
-                Slot::Center(i) => self.centers[*i].point.clone(),
-                Slot::Parked(i) => self.parked[*i].point.clone(),
-            })
-            .collect();
-        let anchors: Vec<f64> = slots
-            .iter()
-            .map(|s| match s {
-                Slot::Center(i) => self.centers[*i].d_to_first,
-                Slot::Parked(i) => self.parked[*i].d_to_first,
-            })
-            .collect();
         let merge_r = self.params.merge_radius();
-        let s = summary_points.len();
+        let s = points.len();
         let pruning_on = self.pruning.enabled;
+        let prune = &mut self
+            .ledger
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
+            .prune;
         let mut uf = UnionFind::new(s);
         // The anchors alone decide most pairs. The first summary slot is
         // E[0] itself only if E[0] is core; the bounds are sound either
@@ -563,15 +843,14 @@ impl<'m, P: Clone + Sync, M: Metric<P> + Sync> StreamingApproxDbscan<'m, P, M> {
                     continue;
                 }
                 let merge = if pruning_on && (anchors[i] - anchors[j]).abs() > merge_r {
-                    *self.p_rejects.get_mut() += 1;
+                    prune.bound_rejects += 1;
                     false
                 } else if pruning_on && anchors[i] + anchors[j] <= merge_r {
-                    *self.p_accepts.get_mut() += 1;
+                    prune.bound_accepts += 1;
                     true
                 } else {
                     self.stats.merge_pairs_tested += 1;
-                    self.metric
-                        .within(&summary_points[i], &summary_points[j], merge_r)
+                    self.metric.within(&points[i], &points[j], merge_r)
                 };
                 if merge {
                     uf.union(i, j);
@@ -579,6 +858,9 @@ impl<'m, P: Clone + Sync, M: Metric<P> + Sync> StreamingApproxDbscan<'m, P, M> {
             }
         }
         self.summary_clusters = uf.component_ids();
+        self.summary_order = sorted_by_anchor(anchors.iter().copied());
+        self.summary_points = points;
+        self.summary_anchors = anchors;
         self.phase = Phase::Pass3;
     }
 
@@ -589,7 +871,7 @@ impl<'m, P: Clone + Sync, M: Metric<P> + Sync> StreamingApproxDbscan<'m, P, M> {
     /// so the candidate lookup can address the point by its stream
     /// position.
     pub fn pass3_label(&self, p: &P) -> PointLabel {
-        self.pass3_label_impl(None, p)
+        self.label_one(None, p)
     }
 
     /// Pass 3 with the point's stream position: like
@@ -598,118 +880,131 @@ impl<'m, P: Clone + Sync, M: Metric<P> + Sync> StreamingApproxDbscan<'m, P, M> {
     /// `sid`'s candidate set (the first-fit owner replay stays exact).
     /// Without an index the two entry points are identical.
     pub fn pass3_label_at(&self, sid: usize, p: &P) -> PointLabel {
-        let mut cands = Vec::new();
-        if self.rp_candidates(sid, &mut cands) {
-            self.pass3_label_impl(Some(&cands), p)
-        } else {
-            self.pass3_label_impl(None, p)
-        }
+        self.label_one(Some(sid), p)
     }
 
-    fn pass3_label_impl(&self, cands: Option<&[u32]>, p: &P) -> PointLabel {
+    /// One pass-3 call on its own buffers, its counters added at once.
+    fn label_one(&self, sid: Option<usize>, p: &P) -> PointLabel {
+        let mut s = ScanBuffers::default();
+        let label = self.label(sid, p, &mut s);
+        self.ledger
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .merge(&s.ledger);
+        label
+    }
+
+    /// Pass 3 on a caller's buffers; the counters stay in `s.ledger`.
+    fn label(&self, sid: Option<usize>, p: &P, s: &mut ScanBuffers) -> PointLabel {
         assert_eq!(self.phase, Phase::Pass3, "pass3_label before finish_pass2");
-        let label_r = self.params.label_radius();
-        let d0 = self.anchor_of(p);
-        // First-fit owner.
-        for (i, c) in self.centers.iter().enumerate() {
-            let within = match d0 {
-                Some(d0) if i == 0 => d0 <= self.rbar,
-                Some(d0) => anchored_within(
-                    self.metric,
-                    &c.point,
-                    c.d_to_first,
-                    p,
-                    d0,
-                    self.rbar,
-                    &self.p_accepts,
-                    &self.p_rejects,
-                ),
-                None => self.metric.within(&c.point, p, self.rbar),
-            };
-            if within {
-                if c.core {
-                    return PointLabel::Border(self.summary_clusters[c.summary_pos as usize]);
-                }
-                break;
+        let filtered = sid.is_some_and(|sid| self.rp_candidates(sid, &mut s.rp, &mut s.ledger));
+        let d0 = self.anchor_of(p, &mut s.ledger);
+        if let Some(owner) = self.first_fit(p, d0, s) {
+            let c = &self.centers[owner as usize];
+            if c.core {
+                return PointLabel::Border(self.summary_clusters[c.summary_pos as usize]);
             }
         }
-        // Nearest summary member within (ρ/2+1)ε. The anchored lower
-        // bound skips members that provably cannot beat the current
-        // best (`dis ≥ |d₀ − anchor| > bound` ⇒ the bounded evaluation
-        // would reject them anyway).
-        let mut best: Option<(f64, u32)> = None;
-        let consider = |point: &P, anchor: f64, pos: u32, best: &mut Option<(f64, u32)>| {
-            let bound = best.map_or(label_r, |(d, _)| d);
-            if let Some(d0) = d0 {
-                if (d0 - anchor).abs() > bound {
-                    self.p_rejects.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
-            }
-            if let Some(d) = self.metric.distance_leq(point, p, bound) {
-                if d == 0.0 {
-                    // The point *is* a summary member: certified core.
-                    *best = Some((-1.0, pos));
-                } else if best.is_none_or(|(bd, _)| d < bd) {
-                    *best = Some((d, pos));
-                }
-            }
+        let best = if filtered {
+            self.candidate_positions(s);
+            let positions = s.hits.iter().map(|&pos| pos as usize);
+            self.nearest(p, d0, positions, &mut s.ledger.prune)
+        } else {
+            self.nearest_summary(p, d0, s)
         };
-        match cands {
-            // RP-filtered scan: the same slot order over the candidate
-            // subset (merge joins — both lists ascend in stream id), so
-            // the min/tie-break semantics are unchanged on the pairs
-            // examined.
-            Some(cands) => {
-                let mut k = 0usize;
-                for c in &self.centers {
-                    if !c.core {
-                        continue;
-                    }
-                    while k < cands.len() && cands[k] < c.stream_id {
-                        k += 1;
-                    }
-                    if k >= cands.len() {
-                        break;
-                    }
-                    if cands[k] == c.stream_id {
-                        consider(&c.point, c.d_to_first, c.summary_pos, &mut best);
-                    }
-                }
-                let mut k = 0usize;
-                for m in &self.parked {
-                    if !m.core {
-                        continue;
-                    }
-                    while k < cands.len() && cands[k] < m.stream_id {
-                        k += 1;
-                    }
-                    if k >= cands.len() {
-                        break;
-                    }
-                    if cands[k] == m.stream_id {
-                        consider(&m.point, m.d_to_first, m.summary_pos, &mut best);
-                    }
-                }
-            }
-            None => {
-                for c in &self.centers {
-                    if c.core {
-                        consider(&c.point, c.d_to_first, c.summary_pos, &mut best);
-                    }
-                }
-                for m in &self.parked {
-                    if m.core {
-                        consider(&m.point, m.d_to_first, m.summary_pos, &mut best);
-                    }
-                }
-            }
-        }
         match best {
             Some((d, pos)) if d < 0.0 => PointLabel::Core(self.summary_clusters[pos as usize]),
             Some((_, pos)) => PointLabel::Border(self.summary_clusters[pos as usize]),
             None => PointLabel::Noise,
         }
+    }
+
+    /// Fills `s.hits` with the summary positions of the RP candidates in
+    /// `s.rp`, ascending: merge joins over the core centers and the
+    /// certified parked candidates, each of which ascends in stream id.
+    fn candidate_positions(&self, s: &mut ScanBuffers) {
+        let cands = &s.rp;
+        s.hits.clear();
+        let mut k = 0usize;
+        for c in self.centers.iter().filter(|c| c.core) {
+            while k < cands.len() && cands[k] < c.stream_id {
+                k += 1;
+            }
+            if k >= cands.len() {
+                break;
+            }
+            if cands[k] == c.stream_id {
+                s.hits.push(c.summary_pos);
+            }
+        }
+        let mut k = 0usize;
+        for m in self.parked.iter().filter(|m| m.core) {
+            while k < cands.len() && cands[k] < m.stream_id {
+                k += 1;
+            }
+            if k >= cands.len() {
+                break;
+            }
+            if cands[k] == m.stream_id {
+                s.hits.push(m.summary_pos);
+            }
+        }
+    }
+
+    /// Nearest summary member within `(ρ/2+1)ε` over the whole summary.
+    /// With an anchor only the band at `(ρ/2+1)ε` is visited, in
+    /// summary order; the bound only shrinks from there, so every
+    /// member outside the band is a bound reject.
+    fn nearest_summary(&self, p: &P, d0: Option<f64>, s: &mut ScanBuffers) -> Option<(f64, u32)> {
+        let members = self.summary_points.len();
+        let Some(d0) = d0 else {
+            return self.nearest(p, None, 0..members, &mut s.ledger.prune);
+        };
+        let band = band(&self.summary_order, d0, self.params.label_radius());
+        s.ledger.prune.bound_rejects += (members - band.len()) as u64;
+        s.summary.reset(members);
+        for &(_, pos) in band {
+            s.summary.insert(pos as usize);
+        }
+        self.nearest(p, Some(d0), s.summary.ascending(), &mut s.ledger.prune)
+    }
+
+    /// Nearest of the summary members at `positions` (ascending) within
+    /// `(ρ/2+1)ε`: `(d, pos)`, or `(-1.0, pos)` when `p` *is* member
+    /// `pos` (a certified core). The bound shrinks to the best distance
+    /// so far and ties keep the earlier member; the anchored lower
+    /// bound skips members that provably cannot beat the current best
+    /// (`dis ≥ |d₀ − anchor| > bound` ⇒ the bounded evaluation would
+    /// reject them anyway).
+    fn nearest(
+        &self,
+        p: &P,
+        d0: Option<f64>,
+        positions: impl Iterator<Item = usize>,
+        prune: &mut PruneStats,
+    ) -> Option<(f64, u32)> {
+        let label_r = self.params.label_radius();
+        let mut best: Option<(f64, u32)> = None;
+        for pos in positions {
+            let bound = best.map_or(label_r, |(d, _)| d);
+            if let Some(d0) = d0 {
+                if (d0 - self.summary_anchors[pos]).abs() > bound {
+                    prune.bound_rejects += 1;
+                    continue;
+                }
+            }
+            if let Some(d) = self
+                .metric
+                .distance_leq(&self.summary_points[pos], p, bound)
+            {
+                if d == 0.0 {
+                    best = Some((-1.0, pos as u32));
+                } else if best.is_none_or(|(bd, _)| d < bd) {
+                    best = Some((d, pos as u32));
+                }
+            }
+        }
+        best
     }
 
     /// Current memory footprint in stored points.
@@ -724,19 +1019,12 @@ impl<'m, P: Clone + Sync, M: Metric<P> + Sync> StreamingApproxDbscan<'m, P, M> {
 
     /// Run counters, the pruning and RP ledgers included.
     pub fn stats(&self) -> StreamingStats {
-        let mut stats = self.stats;
-        stats.pruning = PruneStats {
-            bound_accepts: self.p_accepts.load(Ordering::Relaxed),
-            bound_rejects: self.p_rejects.load(Ordering::Relaxed),
-            anchor_evals: self.p_anchors.load(Ordering::Relaxed),
-            ..PruneStats::default()
-        };
-        stats.rp = RpStats {
-            projections: self.rp_projections.load(Ordering::Relaxed),
-            candidates_emitted: self.rp_emitted.load(Ordering::Relaxed),
-            candidates_rejected: self.rp_rejected.load(Ordering::Relaxed),
-        };
-        stats
+        let ledger = *self.ledger.lock().unwrap_or_else(PoisonError::into_inner);
+        StreamingStats {
+            pruning: ledger.prune,
+            rp: ledger.rp,
+            ..self.stats
+        }
     }
 
     /// Convenience driver: runs all three passes over a replayable stream
@@ -829,9 +1117,19 @@ impl<'m, P: Clone + Sync, M: Metric<P> + Sync> StreamingApproxDbscan<'m, P, M> {
             if block.is_empty() {
                 break;
             }
-            labels.extend(par_map_range(block.len(), threads, 512, |i| {
-                engine.pass3_label_at(base + i, &block[i])
-            }));
+            // One set of buffers per worker; its counters join the ledger once.
+            let workers = worker_count(threads, block.len(), 512);
+            let parts = par_map_ranges(split_even(block.len(), workers), |range| {
+                let mut s = ScanBuffers::default();
+                let part: Vec<PointLabel> = range
+                    .map(|i| engine.label(Some(base + i), &block[i], &mut s))
+                    .collect();
+                (part, s.ledger)
+            });
+            for (part, ledger) in parts {
+                labels.extend(part);
+                engine.absorb(ledger);
+            }
             base += block.len();
         }
         engine.stats.pass3_secs = t.elapsed().as_secs_f64();
@@ -843,7 +1141,7 @@ impl<'m, P: Clone + Sync, M: Metric<P> + Sync> StreamingApproxDbscan<'m, P, M> {
 mod tests {
     use super::*;
     use crate::exact_dbscan;
-    use mdbscan_metric::Euclidean;
+    use mdbscan_metric::{CountingMetric, Euclidean};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -1011,6 +1309,279 @@ mod tests {
         // manual pass-3 replay gives the same labels
         for (i, p) in stream.iter().enumerate() {
             assert_eq!(c.labels()[i].cluster(), engine.pass3_label(p).cluster());
+        }
+    }
+
+    // The banded scans against the linear anchored scans they replace:
+    // same owner, hits and nearest member, same ledger, same number of
+    // evaluations.
+
+    type Counted = CountingMetric<Euclidean>;
+    type Engine<'m> = StreamingApproxDbscan<'m, Vec<f64>, Counted>;
+
+    /// r̄ = 0.5, ε = 1, (ρ/2+1)ε = 1.5: every band edge is exact in
+    /// binary.
+    fn params() -> ApproxParams {
+        ApproxParams::new(1.0, 3, 1.0).unwrap()
+    }
+
+    /// An engine whose stored points are `pts`, each anchored at its
+    /// distance to `pts[0]`: every point is a center (`pts[0]` is
+    /// `E[0]`) and a parked candidate (every third one certified), and
+    /// the summary holds the points `in_summary` selects, in order.
+    fn staged<'m>(
+        metric: &'m Counted,
+        pts: &[Vec<f64>],
+        in_summary: impl Fn(usize) -> bool,
+    ) -> Engine<'m> {
+        let params = params();
+        let mut e = StreamingApproxDbscan::new(metric, &params);
+        for (i, p) in pts.iter().enumerate() {
+            let anchor = Euclidean.distance(&pts[0], p);
+            e.centers.push(Center {
+                point: p.clone(),
+                stream_id: i as u32,
+                d_to_first: anchor,
+                eps_count: 0,
+                core: false,
+                summary_pos: u32::MAX,
+            });
+            if i > 0 {
+                e.center_order.insert((Anchor(anchor), i as u32));
+            }
+            e.parked.push(Parked {
+                point: p.clone(),
+                center: i as u32,
+                stream_id: i as u32,
+                d_to_first: anchor,
+                eps_count: if i % 3 == 2 { params.min_pts() } else { 0 },
+                core: false,
+                summary_pos: u32::MAX,
+            });
+            if in_summary(i) {
+                e.summary_points.push(p.clone());
+                e.summary_anchors.push(anchor);
+            }
+        }
+        e.parked_order = sorted_by_anchor(e.parked.iter().map(|m| m.d_to_first));
+        e.pass2_pending = e
+            .parked
+            .iter()
+            .filter(|m| m.eps_count < params.min_pts())
+            .count();
+        e.summary_order = sorted_by_anchor(e.summary_anchors.iter().copied());
+        e
+    }
+
+    /// The linear first-fit scan: every center in index order.
+    fn linear_first_fit(e: &Engine, p: &Vec<f64>, d0: f64, prune: &mut PruneStats) -> Option<u32> {
+        for (i, c) in e.centers.iter().enumerate() {
+            let within = if i == 0 {
+                d0 <= e.rbar
+            } else {
+                anchored_within(e.metric, &c.point, c.d_to_first, p, d0, e.rbar, prune)
+            };
+            if within {
+                return Some(i as u32);
+            }
+        }
+        None
+    }
+
+    /// The linear ε-count scan: every stored `(point, anchor, certified)`
+    /// in index order, certified ones skipped; with `first_is_e0` the
+    /// first is `E[0]`, tested by `d₀` itself.
+    fn linear_eps_count<'a>(
+        e: &Engine,
+        stored: impl Iterator<Item = (&'a Vec<f64>, f64, bool)>,
+        first_is_e0: bool,
+        p: &Vec<f64>,
+        d0: f64,
+        prune: &mut PruneStats,
+    ) -> Vec<u32> {
+        let eps = e.params.eps();
+        let mut hits = Vec::new();
+        for (i, (point, anchor, certified)) in stored.enumerate() {
+            if certified {
+                continue;
+            }
+            let within = if first_is_e0 && i == 0 {
+                d0 <= eps
+            } else {
+                anchored_within(e.metric, point, anchor, p, d0, eps, prune)
+            };
+            if within {
+                hits.push(i as u32);
+            }
+        }
+        hits
+    }
+
+    /// The linear nearest-member scan: every summary member in position
+    /// order, with the shrinking bound and the earlier member winning
+    /// ties.
+    fn linear_nearest(
+        e: &Engine,
+        p: &Vec<f64>,
+        d0: f64,
+        prune: &mut PruneStats,
+    ) -> Option<(f64, u32)> {
+        let mut best: Option<(f64, u32)> = None;
+        for (pos, (point, &anchor)) in e.summary_points.iter().zip(&e.summary_anchors).enumerate() {
+            let bound = best.map_or(e.params.label_radius(), |(d, _)| d);
+            if (d0 - anchor).abs() > bound {
+                prune.bound_rejects += 1;
+                continue;
+            }
+            if let Some(d) = e.metric.distance_leq(point, p, bound) {
+                if d == 0.0 {
+                    best = Some((-1.0, pos as u32));
+                } else if best.is_none_or(|(bd, _)| d < bd) {
+                    best = Some((d, pos as u32));
+                }
+            }
+        }
+        best
+    }
+
+    /// Runs every banded scan and its linear reference on each query;
+    /// returns the first-fit owners.
+    fn assert_scans_match(e: &Engine, queries: &[Vec<f64>]) -> Vec<Option<u32>> {
+        let metric = e.metric;
+        let min_pts = e.params.min_pts();
+        let mut owners = Vec::new();
+        for q in queries {
+            let d0 = Euclidean.distance(&e.centers[0].point, q);
+            let mut s = ScanBuffers::default();
+            let mut prune = PruneStats::default();
+            metric.reset();
+
+            let owner = e.first_fit(q, Some(d0), &mut s);
+            let evals = metric.reset();
+            let linear = linear_first_fit(e, q, d0, &mut prune);
+            assert_eq!(
+                (owner, s.ledger.prune, evals),
+                (linear, prune, metric.reset()),
+                "first-fit of {q:?} (d0 = {d0})"
+            );
+            owners.push(owner);
+
+            e.centers_within_eps(0, q, Some(d0), &mut s);
+            let evals = metric.reset();
+            let mut hits = s.hits.clone();
+            hits.sort_unstable();
+            let stored = e.centers.iter().map(|c| (&c.point, c.d_to_first, false));
+            let linear = linear_eps_count(e, stored, true, q, d0, &mut prune);
+            assert_eq!(
+                (hits, s.ledger.prune, evals),
+                (linear, prune, metric.reset()),
+                "pass-1 ε-count of {q:?} (d0 = {d0})"
+            );
+
+            e.parked_within_eps(0, q, Some(d0), &mut s);
+            let evals = metric.reset();
+            let mut hits = s.hits.clone();
+            hits.sort_unstable();
+            let stored = e
+                .parked
+                .iter()
+                .map(|m| (&m.point, m.d_to_first, m.eps_count >= min_pts));
+            let linear = linear_eps_count(e, stored, false, q, d0, &mut prune);
+            assert_eq!(
+                (hits, s.ledger.prune, evals),
+                (linear, prune, metric.reset()),
+                "pass-2 recount of {q:?} (d0 = {d0})"
+            );
+
+            let best = e.nearest_summary(q, Some(d0), &mut s);
+            let evals = metric.reset();
+            let linear = linear_nearest(e, q, d0, &mut prune);
+            assert_eq!(
+                (best, s.ledger.prune, evals),
+                (linear, prune, metric.reset()),
+                "nearest summary member of {q:?} (d0 = {d0})"
+            );
+        }
+        owners
+    }
+
+    /// 1-D points, so a point at `x` has anchor `|x|` (with `E[0]` at
+    /// the origin) and every band edge can be placed exactly.
+    #[test]
+    fn banded_scans_match_linear_scans_at_the_band_edges() {
+        let mut rng = StdRng::seed_from_u64(21);
+        let mut xs: Vec<f64> = vec![0.0, 50.0];
+        // Passes r̄ from 3.0 at a higher anchor and a lower index than
+        // the other passing centers: first fit must go by index.
+        xs.push(3.4);
+        // Anchors at d₀ ± bound and one ulp either side, for d₀ = 3, 10
+        // and 20 and the bounds r̄, ε and (ρ/2+1)ε, mirrored so each
+        // anchor also belongs to a far point.
+        for (d0, bound) in [(3.0, 0.5), (10.0, 1.0), (20.0, 1.5)] {
+            for edge in [d0 - bound, d0 + bound] {
+                for a in [f64::next_down(edge), edge, f64::next_up(edge)] {
+                    xs.push(a);
+                    xs.push(-a);
+                }
+            }
+        }
+        // Repeated anchors and anchors equal to d₀.
+        xs.extend([3.0, 3.0, -3.0, 10.0, 10.0, 20.0, -20.0, 2.6, 2.6]);
+        xs.extend((0..90).map(|_| rng.random_range(-6.0..6.0)));
+        xs.push(-80.0);
+        let pts: Vec<Vec<f64>> = xs.iter().map(|&x| vec![x]).collect();
+        let k = pts.len();
+        assert_ne!(k % 64, 0);
+        for &x in &xs {
+            assert_eq!(Euclidean.distance(&pts[0], &vec![x]), x.abs());
+        }
+        let metric = CountingMetric::new(Euclidean);
+        let e = staged(&metric, &pts, |i| i % 4 != 3);
+
+        let mut queries: Vec<Vec<f64>> =
+            [3.0, -3.0, 10.0, 20.0, -20.0, 0.0, 50.2, -80.3, 2.75, 1000.0]
+                .iter()
+                .map(|&x| vec![x])
+                .collect();
+        queries.extend((0..200).map(|_| vec![rng.random_range(-25.0..25.0)]));
+        let owners = assert_scans_match(&e, &queries);
+        assert_eq!(owners[0], Some(2), "3.4 owns 3.0");
+        assert_eq!(owners[5], Some(0), "d₀ = 0 is E[0]'s");
+        assert_eq!(owners[6], Some(1));
+        assert_eq!(owners[7], Some(k as u32 - 1));
+        assert_eq!(owners[9], None);
+    }
+
+    #[test]
+    fn banded_scans_match_linear_scans_on_a_single_center() {
+        let pts = vec![vec![1.0, -2.0]];
+        let metric = CountingMetric::new(Euclidean);
+        let e = staged(&metric, &pts, |_| true);
+        let queries: Vec<Vec<f64>> = [[1.0, -2.0], [1.3, -2.0], [1.0, -1.0], [4.0, 2.0]]
+            .iter()
+            .map(|q| q.to_vec())
+            .collect();
+        let owners = assert_scans_match(&e, &queries);
+        assert_eq!(owners, vec![Some(0), Some(0), None, None]);
+    }
+
+    #[test]
+    fn banded_scans_match_linear_scans_on_random_planes() {
+        for seed in 1..=3u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let k = 150 + seed as usize * 7;
+            let pts: Vec<Vec<f64>> = (0..k)
+                .map(|_| vec![rng.random_range(-4.0..4.0), rng.random_range(-4.0..4.0)])
+                .collect();
+            let metric = CountingMetric::new(Euclidean);
+            let e = staged(&metric, &pts, |i| i % 2 == 0);
+            let mut queries: Vec<Vec<f64>> = (0..200)
+                .map(|_| vec![rng.random_range(-5.0..5.0), rng.random_range(-5.0..5.0)])
+                .collect();
+            // Stored points themselves: exact summary hits.
+            queries.extend(pts.iter().step_by(5).cloned());
+            let owners = assert_scans_match(&e, &queries);
+            assert!(owners.iter().any(|o| o.is_some_and(|i| i > 1)));
         }
     }
 }
