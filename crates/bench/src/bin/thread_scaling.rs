@@ -4,10 +4,12 @@
 //! wall-clock and distance-evaluation counts per thread setting.
 //!
 //! It also measures the pruning baseline: per solver (exact / approx /
-//! covertree / streaming) and per pruning setting, the wall-clock, the
+//! covertree / streaming) and per pruning setting, the wall-clock (the
+//! median of five calls on one cache-free engine), the
 //! distance-evaluation count, and the bound-accept/reject/anchor
-//! counters — asserting along the way that labels are byte-identical
-//! with pruning on vs off and that the counters are self-consistent.
+//! counters — asserting along the way that the five calls agree, that
+//! labels are byte-identical with pruning on vs off and that the
+//! counters are self-consistent.
 //!
 //! Stdout carries exactly one JSON document holding both panels
 //! (`runs` and `solvers`); the bin writes no file.
@@ -168,6 +170,10 @@ fn main() {
     print!("{json}");
 }
 
+/// Calls timed per pruning-baseline row; the row's `wall_ms` is their
+/// median.
+const ROW_CALLS: usize = 5;
+
 /// One row of the pruning baseline.
 struct EvalRow {
     solver: &'static str,
@@ -200,26 +206,46 @@ fn distance_evals_baseline(pts: &[Vec<f64>]) -> Vec<EvalRow> {
             .cache_capacity(0)
             .build()
             .expect("build engine");
-        let mut record = |solver: &'static str, run: EngineRun, wall_ms: f64, evals: u64| {
-            let bounds = run.report.pruning;
+        // One call's wall-clock is noise on a shared host: time
+        // ROW_CALLS calls and keep the median. With no cache they must
+        // all do the same work and return the same labels.
+        let mut measure = |solver: &'static str, call: &dyn Fn() -> EngineRun| {
+            let mut times = [0.0f64; ROW_CALLS];
+            let mut first: Option<(EngineRun, u64)> = None;
+            for t in &mut times {
+                let (run, ms) = timed(call);
+                let evals = engine.metric().reset();
+                *t = ms;
+                match &first {
+                    Some((r0, e0)) => assert!(
+                        run.clustering == r0.clustering
+                            && run.report.pruning == r0.report.pruning
+                            && evals == *e0,
+                        "{solver}: repeated calls on a cache-free engine disagree"
+                    ),
+                    None => first = Some((run, evals)),
+                }
+            }
+            times.sort_by(f64::total_cmp);
+            let (run, evals) = first.expect("ROW_CALLS > 0");
             rows.push(EvalRow {
                 solver,
                 pruning: pruning_on,
-                wall_ms,
+                wall_ms: times[ROW_CALLS / 2],
                 distance_evals: evals,
-                bounds,
+                bounds: run.report.pruning,
             });
             labels.insert((solver, pruning_on), run.clustering);
         };
         engine.metric().reset();
-        let (run, ms) = timed(|| engine.exact(&params).expect("exact"));
-        record("exact", run, ms, engine.metric().reset());
-        let (run, ms) = timed(|| engine.approx(&aparams).expect("approx"));
-        record("approx", run, ms, engine.metric().reset());
-        let (run, ms) = timed(|| engine.covertree(&params).expect("covertree"));
-        record("covertree", run, ms, engine.metric().reset());
-        let (run, ms) = timed(|| engine.streaming(&aparams).expect("streaming"));
-        record("streaming", run, ms, engine.metric().reset());
+        measure("exact", &|| engine.exact(&params).expect("exact"));
+        measure("approx", &|| engine.approx(&aparams).expect("approx"));
+        measure("covertree", &|| {
+            engine.covertree(&params).expect("covertree")
+        });
+        measure("streaming", &|| {
+            engine.streaming(&aparams).expect("streaming")
+        });
     }
 
     // Self-consistency: identical labels per solver, zeroed counters

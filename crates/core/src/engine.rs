@@ -30,13 +30,16 @@
 //! see the `persist` module docs in this crate and the
 //! `mdbscan_persist` crate for the format.
 //!
-//! Every cached artifact — the fragment/summary LRU, the `ε`-keyed
-//! center adjacency, the whole-input §3.2 cover tree — carries its
-//! **epoch in the cache key**, so stale entries are unreachable *by
-//! construction* rather than by flushing: an epoch-`e` query can only
-//! ever hit epoch-`e` artifacts. Across epochs the engine still reuses
-//! work *incrementally* (reported as [`CacheStats::upgrades`], never as
-//! hits):
+//! The engine caches five kinds of artifact — Step-1/2 fragments and
+//! Algorithm-2 summaries, the `ε`-keyed center adjacency, the
+//! whole-input §3.2 cover tree, the ε-aligned grid index and the
+//! random-projection index — in one per-kind most-recent-first LRU
+//! each, and every entry carries its **epoch beside its key**, so stale
+//! entries are unreachable *by construction* rather than by flushing:
+//! an epoch-`e` query can only ever hit epoch-`e` artifacts. Across
+//! epochs the engine still reuses work *incrementally*, growing the
+//! newest older epoch's entry under the same key (reported as
+//! [`CacheStats::upgrades`], never as hits):
 //!
 //! * the center adjacency extends by the new-center rows only, instead
 //!   of an `O(|E|²)` rebuild;
@@ -47,7 +50,9 @@
 //!   balls carry over verbatim (Step 2 then re-runs over them);
 //! * the cached whole-input §3.2 tree grows by
 //!   [`mdbscan_covertree::CoverTree::insert`] instead of being
-//!   discarded.
+//!   discarded;
+//! * the grid and random-projection indexes absorb the appended points'
+//!   coordinates.
 //!
 //! # Ingest determinism contract
 //!
@@ -122,12 +127,12 @@ const DELTA_HISTORY: usize = 128;
 
 /// Per-epoch grid indexes retained (one per recently queried
 /// `(epoch, cell)` pair; older epochs extend into newer ones).
-pub(crate) const GRID_CACHE_CAPACITY: usize = 4;
+const GRID_CACHE_CAPACITY: usize = 4;
 
 /// Per-epoch random-projection indexes retained. The RP index is
 /// ε-independent (one per epoch covers every parameter probe), so a
 /// couple of epochs suffice; older epochs extend into newer ones.
-pub(crate) const RP_CACHE_CAPACITY: usize = 2;
+const RP_CACHE_CAPACITY: usize = 2;
 
 /// Which candidate-generation machinery the engine's solvers use for
 /// ε-ball scans and the center-adjacency build.
@@ -381,16 +386,18 @@ pub struct IngestReport {
 /// ([`MetricDbscan::cache_stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups that found a reusable same-epoch artifact
-    /// (fragment/summary LRU).
+    /// Lookups that found a reusable same-epoch artifact: the
+    /// fragment/summary LRU plus the whole-input cover-tree cache (a
+    /// cover-tree run counts one lookup in each).
     pub hits: u64,
     /// Lookups that had to compute — fully or incrementally — at the
-    /// query's epoch (fragment/summary LRU).
+    /// query's epoch (fragment/summary LRU plus cover-tree cache).
     pub misses: u64,
     /// Cross-epoch incremental reuses: an older epoch's artifact
-    /// (fragments, adjacency, or the whole-input cover tree) was
-    /// *upgraded* through the ingest deltas instead of recomputed from
-    /// scratch. Counted in addition to the miss.
+    /// (fragments, adjacency, the whole-input cover tree, a grid or a
+    /// random-projection index) was *upgraded* by the points appended
+    /// since instead of recomputed from scratch. Counted in addition to
+    /// the miss.
     pub upgrades: u64,
     /// Fragment/summary-artifact entries currently retained.
     pub entries: usize,
@@ -429,13 +436,11 @@ pub(crate) enum NetKind {
     CoverTree,
 }
 
+/// Key of a fragment/summary entry (its epoch sits beside it in the
+/// [`EpochLru`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct CacheKey {
     pub(crate) kind: NetKind,
-    /// Epoch the artifacts were computed at: an epoch-`e` query can only
-    /// hit epoch-`e` entries, so stale artifacts are invalidated by
-    /// construction.
-    pub(crate) epoch: u64,
     pub(crate) eps_bits: u64,
     pub(crate) min_pts: usize,
     /// `Some(ρ bits)` for Algorithm-2 summaries, `None` for the exact
@@ -446,6 +451,7 @@ pub(crate) struct CacheKey {
 
 /// A cached per-parameter artifact: the exact pipelines store Step-1/2
 /// outputs, the approximate pipeline its merged summary.
+#[derive(Clone)]
 pub(crate) enum CachedArtifacts {
     Steps(Arc<StepArtifacts>),
     Approx(Arc<ApproxArtifacts>),
@@ -460,88 +466,6 @@ impl CachedArtifacts {
     }
 }
 
-/// A tiny exact-scan most-recent-first LRU: the working set is a
-/// handful of parameter probes, so a `Vec` scanned linearly beats any
-/// hash scheme. Shared by the fragment/summary cache, the adjacency
-/// cache, and the per-epoch cover-tree cache; capacity 0 disables
-/// insertion entirely.
-pub(crate) struct Lru<K, V> {
-    pub(crate) capacity: usize,
-    pub(crate) entries: Vec<(K, V)>,
-}
-
-impl<K: PartialEq, V> Lru<K, V> {
-    pub(crate) fn new(capacity: usize) -> Self {
-        Self {
-            capacity,
-            entries: Vec::new(),
-        }
-    }
-
-    /// Looks up `key`, promoting a hit to most-recent.
-    fn promote(&mut self, key: &K) -> Option<&V> {
-        let pos = self.entries.iter().position(|(k, _)| k == key)?;
-        let entry = self.entries.remove(pos);
-        self.entries.insert(0, entry);
-        Some(&self.entries[0].1)
-    }
-
-    fn insert(&mut self, key: K, value: V) {
-        if self.capacity == 0 {
-            return;
-        }
-        self.entries.retain(|(k, _)| k != &key);
-        self.entries.insert(0, (key, value));
-        self.entries.truncate(self.capacity);
-    }
-}
-
-/// The fragment/summary artifact cache, with typed accessors over the
-/// shared [`Lru`].
-pub(crate) type FragmentLru = Lru<CacheKey, CachedArtifacts>;
-
-impl FragmentLru {
-    fn get_steps(&mut self, key: &CacheKey) -> Option<Arc<StepArtifacts>> {
-        match self.promote(key)? {
-            CachedArtifacts::Steps(a) => Some(Arc::clone(a)),
-            CachedArtifacts::Approx(_) => None,
-        }
-    }
-
-    fn get_approx(&mut self, key: &CacheKey) -> Option<Arc<ApproxArtifacts>> {
-        match self.promote(key)? {
-            CachedArtifacts::Approx(a) => Some(Arc::clone(a)),
-            CachedArtifacts::Steps(_) => None,
-        }
-    }
-
-    /// The newest strictly-older-epoch Steps entry matching `key`'s
-    /// parameters — the upgrade base for an incremental Step-1/2 run.
-    fn best_steps_base(&self, key: &CacheKey) -> Option<(u64, Arc<StepArtifacts>)> {
-        let mut best: Option<(u64, Arc<StepArtifacts>)> = None;
-        for (k, v) in &self.entries {
-            if k.kind == key.kind
-                && k.eps_bits == key.eps_bits
-                && k.min_pts == key.min_pts
-                && k.rho_bits == key.rho_bits
-                && k.epoch < key.epoch
-            {
-                if let CachedArtifacts::Steps(a) = v {
-                    if best.as_ref().is_none_or(|(e, _)| k.epoch > *e) {
-                        best = Some((k.epoch, Arc::clone(a)));
-                    }
-                }
-            }
-        }
-        best
-    }
-
-    /// Total heap bytes retained (diagnostic).
-    fn heap_bytes(&self) -> usize {
-        self.entries.iter().map(|(_, a)| a.heap_bytes()).sum()
-    }
-}
-
 /// Key of the `ε`-only center-adjacency cache: the adjacency is a pure
 /// function of (epoch, net, threshold, screening mode) — `MinPts` and
 /// `ρ` never enter. Cover-tree nets differ per level, so the level
@@ -549,7 +473,6 @@ impl FragmentLru {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct AdjKey {
     pub(crate) kind: NetKind,
-    pub(crate) epoch: u64,
     pub(crate) level: i32,
     pub(crate) threshold_bits: u64,
     /// The per-edge bounds differ between screened and unscreened
@@ -557,15 +480,120 @@ pub(crate) struct AdjKey {
     pub(crate) pruned: bool,
 }
 
-/// Key of the per-epoch grid-index cache. The grid is a pure function
-/// of (epoch's points, cell side): the net never enters, so the exact
-/// and cover-tree pipelines share entries at equal `ε`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct GridKey {
-    pub(crate) epoch: u64,
-    /// Bits of the cell side `ε/√d` — each probed `ε` gets its own
-    /// aligned grid.
-    pub(crate) cell_bits: u64,
+/// What [`EpochLru::lookup`] found.
+enum Lookup<V> {
+    /// A same-epoch entry that fits the query.
+    Hit(V),
+    /// A miss, plus the newest strictly-older epoch's entry under the
+    /// same key — the base an incremental upgrade grows.
+    Base(u64, V),
+    /// A miss with nothing to grow.
+    Miss,
+}
+
+/// A tiny exact-scan most-recent-first LRU of `(epoch, key, value)`
+/// entries with its own hit and miss counts: the working set is a
+/// handful of parameter probes, so a `Vec` scanned linearly beats any
+/// hash scheme. Capacity 0 stores nothing.
+pub(crate) struct EpochLru<K, V> {
+    pub(crate) capacity: usize,
+    pub(crate) entries: Vec<(u64, K, V)>,
+    pub(crate) hits: u64,
+    pub(crate) misses: u64,
+}
+
+impl<K: PartialEq, V: Clone> EpochLru<K, V> {
+    fn new(capacity: usize) -> Self {
+        Self {
+            capacity,
+            entries: Vec::new(),
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    /// An empty LRU of the same capacity, counters at zero.
+    fn cold(&self) -> Self {
+        Self::new(self.capacity)
+    }
+
+    /// Looks up `key` at `epoch`. A same-epoch entry is promoted to
+    /// most recent, then counts as a hit only if `fits` accepts it.
+    /// Every other lookup is a miss; with `grows` set, the miss carries
+    /// the newest strictly-older epoch's entry under `key`, if any.
+    fn lookup(
+        &mut self,
+        epoch: u64,
+        key: &K,
+        fits: impl FnOnce(&V) -> bool,
+        grows: bool,
+    ) -> Lookup<V> {
+        if let Some(pos) = self
+            .entries
+            .iter()
+            .position(|(e, k, _)| *e == epoch && k == key)
+        {
+            let entry = self.entries.remove(pos);
+            self.entries.insert(0, entry);
+            if fits(&self.entries[0].2) {
+                self.hits += 1;
+                return Lookup::Hit(self.entries[0].2.clone());
+            }
+        }
+        self.misses += 1;
+        let base = self
+            .entries
+            .iter()
+            .filter(|(e, k, _)| *e < epoch && k == key)
+            .max_by_key(|(e, _, _)| *e);
+        match base {
+            Some((e, _, v)) if grows => Lookup::Base(*e, v.clone()),
+            _ => Lookup::Miss,
+        }
+    }
+
+    /// Stores `value` as the most recent entry, replacing any entry at
+    /// the same `(epoch, key)` and evicting beyond capacity.
+    fn insert(&mut self, epoch: u64, key: K, value: V) {
+        if self.capacity == 0 {
+            return;
+        }
+        self.entries.retain(|(e, k, _)| !(*e == epoch && *k == key));
+        self.entries.insert(0, (epoch, key, value));
+        self.entries.truncate(self.capacity);
+    }
+
+    fn heap_bytes(&self, bytes: impl Fn(&V) -> usize) -> usize {
+        self.entries.iter().map(|(_, _, v)| bytes(v)).sum()
+    }
+}
+
+/// A coordinate candidate index cached per epoch: an older epoch's
+/// index grows into a newer one by absorbing the appended points'
+/// coordinates.
+trait CoordIndex {
+    fn len(&self) -> usize;
+    fn extend(&self, new_coords: &[f64]) -> Self;
+}
+
+impl CoordIndex for GridIndex {
+    fn len(&self) -> usize {
+        GridIndex::len(self)
+    }
+
+    fn extend(&self, new_coords: &[f64]) -> Self {
+        GridIndex::extend(self, new_coords)
+    }
+}
+
+impl CoordIndex for RpIndex {
+    fn len(&self) -> usize {
+        RpIndex::len(self)
+    }
+
+    fn extend(&self, new_coords: &[f64]) -> Self {
+        RpIndex::extend(self, new_coords)
+    }
 }
 
 /// One published epoch's delta: which cover sets gained members, and
@@ -577,21 +605,56 @@ pub(crate) struct EpochDelta {
     pub(crate) dirty_balls: Vec<u32>,
 }
 
+/// The engine's artifact caches, one [`EpochLru`] per kind, with the
+/// cross-epoch upgrade count and the ingest deltas upgrades read.
 pub(crate) struct EngineCache {
-    pub(crate) fragments: FragmentLru,
-    pub(crate) adjacency: Lru<AdjKey, Arc<CenterAdjacency>>,
-    pub(crate) covertree: Lru<u64, Arc<CoverTreeSkeleton>>,
-    pub(crate) grids: Lru<GridKey, Arc<GridIndex>>,
-    /// Per-epoch random-projection indexes (the RP index is
-    /// ε-independent, so the epoch alone keys it; the config is fixed at
-    /// engine construction).
-    pub(crate) rps: Lru<u64, Arc<RpIndex>>,
+    pub(crate) fragments: EpochLru<CacheKey, CachedArtifacts>,
+    pub(crate) adjacency: EpochLru<AdjKey, Arc<CenterAdjacency>>,
+    pub(crate) covertree: EpochLru<(), Arc<CoverTreeSkeleton>>,
+    /// Keyed by the bits of the cell side `ε/√d`: each probed `ε` gets
+    /// its own aligned grid. The net never enters, so the exact and
+    /// cover-tree pipelines share entries at equal `ε`.
+    pub(crate) grids: EpochLru<u64, Arc<GridIndex>>,
+    /// The RP index is ε-independent and its configuration is fixed at
+    /// engine construction, so the epoch alone keys it.
+    pub(crate) rps: EpochLru<(), Arc<RpIndex>>,
+    /// Cross-epoch incremental reuses ([`CacheStats::upgrades`]).
+    pub(crate) upgrades: u64,
     /// Published ingest deltas, ascending by epoch, bounded by
     /// [`DELTA_HISTORY`].
     pub(crate) deltas: VecDeque<EpochDelta>,
 }
 
 impl EngineCache {
+    /// Empty caches for a fragment capacity of `cache_capacity`; every
+    /// other kind keeps its own fixed capacity, or none when caching is
+    /// off.
+    pub(crate) fn new(cache_capacity: usize) -> Self {
+        let cap = |c: usize| if cache_capacity == 0 { 0 } else { c };
+        Self {
+            fragments: EpochLru::new(cache_capacity),
+            adjacency: EpochLru::new(cap(ADJACENCY_CACHE_CAPACITY)),
+            covertree: EpochLru::new(cap(COVERTREE_CACHE_CAPACITY)),
+            grids: EpochLru::new(cap(GRID_CACHE_CAPACITY)),
+            rps: EpochLru::new(cap(RP_CACHE_CAPACITY)),
+            upgrades: 0,
+            deltas: VecDeque::new(),
+        }
+    }
+
+    /// Empty caches with these capacities and zeroed counters.
+    pub(crate) fn cold(&self) -> Self {
+        Self {
+            fragments: self.fragments.cold(),
+            adjacency: self.adjacency.cold(),
+            covertree: self.covertree.cold(),
+            grids: self.grids.cold(),
+            rps: self.rps.cold(),
+            upgrades: 0,
+            deltas: VecDeque::new(),
+        }
+    }
+
     /// The union of dirty balls across epochs `(from, to]`, or `None`
     /// when the delta history no longer covers that span (→ full
     /// recompute). `old_n` sanity-checks that the upgrade base really
@@ -778,26 +841,6 @@ impl<P: Sync, M: BatchMetric<P>> MetricDbscanBuilder<P, M> {
         if let (Some(rec), Some(started)) = (&self.recorder, net_started) {
             rec.phase(Phase::NetBuild, started.elapsed());
         }
-        let adj_capacity = if self.cache_capacity == 0 {
-            0
-        } else {
-            ADJACENCY_CACHE_CAPACITY
-        };
-        let tree_capacity = if self.cache_capacity == 0 {
-            0
-        } else {
-            COVERTREE_CACHE_CAPACITY
-        };
-        let grid_capacity = if self.cache_capacity == 0 {
-            0
-        } else {
-            GRID_CACHE_CAPACITY
-        };
-        let rp_capacity = if self.cache_capacity == 0 {
-            0
-        } else {
-            RP_CACHE_CAPACITY
-        };
         Ok(MetricDbscan {
             metric: self.metric,
             rbar,
@@ -812,25 +855,9 @@ impl<P: Sync, M: BatchMetric<P>> MetricDbscanBuilder<P, M> {
                 net: Arc::new(net),
             })),
             writer: Mutex::new(None),
-            cache: Mutex::new(EngineCache {
-                fragments: Lru::new(self.cache_capacity),
-                adjacency: Lru::new(adj_capacity),
-                covertree: Lru::new(tree_capacity),
-                grids: Lru::new(grid_capacity),
-                rps: Lru::new(rp_capacity),
-                deltas: VecDeque::new(),
-            }),
+            cache: Mutex::new(EngineCache::new(self.cache_capacity)),
             pending_epoch: AtomicU64::new(0),
             publishes: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            upgrade_count: AtomicU64::new(0),
-            adj_hits: AtomicU64::new(0),
-            adj_misses: AtomicU64::new(0),
-            grid_hits: AtomicU64::new(0),
-            grid_misses: AtomicU64::new(0),
-            rp_hits: AtomicU64::new(0),
-            rp_misses: AtomicU64::new(0),
             load_stats: None,
             load_micros: 0,
             recorder: self.recorder,
@@ -912,15 +939,6 @@ pub struct MetricDbscan<P, M> {
     /// window).
     pub(crate) pending_epoch: AtomicU64,
     pub(crate) publishes: AtomicU64,
-    pub(crate) hits: AtomicU64,
-    pub(crate) misses: AtomicU64,
-    pub(crate) upgrade_count: AtomicU64,
-    pub(crate) adj_hits: AtomicU64,
-    pub(crate) adj_misses: AtomicU64,
-    pub(crate) grid_hits: AtomicU64,
-    pub(crate) grid_misses: AtomicU64,
-    pub(crate) rp_hits: AtomicU64,
-    pub(crate) rp_misses: AtomicU64,
     /// Copied-bytes accounting from the load that produced this engine;
     /// `None` for engines built in-process.
     pub(crate) load_stats: Option<crate::persist::LoadStats>,
@@ -1167,27 +1185,34 @@ impl<P: Clone + Sync, M: BatchMetric<P>> MetricDbscan<P, M> {
     pub fn cache_stats(&self) -> CacheStats {
         let cache = self.cache_lock();
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            upgrades: self.upgrade_count.load(Ordering::Relaxed),
+            hits: cache.fragments.hits + cache.covertree.hits,
+            misses: cache.fragments.misses + cache.covertree.misses,
+            upgrades: cache.upgrades,
             entries: cache.fragments.entries.len(),
             covertree_cached: !cache.covertree.entries.is_empty(),
-            adjacency_hits: self.adj_hits.load(Ordering::Relaxed),
-            adjacency_misses: self.adj_misses.load(Ordering::Relaxed),
+            adjacency_hits: cache.adjacency.hits,
+            adjacency_misses: cache.adjacency.misses,
             adjacency_entries: cache.adjacency.entries.len(),
-            grid_hits: self.grid_hits.load(Ordering::Relaxed),
-            grid_misses: self.grid_misses.load(Ordering::Relaxed),
+            grid_hits: cache.grids.hits,
+            grid_misses: cache.grids.misses,
             grid_entries: cache.grids.entries.len(),
-            rp_hits: self.rp_hits.load(Ordering::Relaxed),
-            rp_misses: self.rp_misses.load(Ordering::Relaxed),
+            rp_hits: cache.rps.hits,
+            rp_misses: cache.rps.misses,
             rp_entries: cache.rps.entries.len(),
         }
     }
 
-    /// Approximate heap bytes held by the fragment cache (diagnostic,
-    /// for capacity tuning).
+    /// Approximate heap bytes held by every cached artifact: fragment
+    /// and summary entries, center adjacencies, cover trees, grid
+    /// indexes and random-projection indexes (diagnostic, for capacity
+    /// tuning). An artifact shared by two entries counts twice.
     pub fn cache_heap_bytes(&self) -> usize {
-        self.cache_lock().fragments.heap_bytes()
+        let cache = self.cache_lock();
+        cache.fragments.heap_bytes(CachedArtifacts::heap_bytes)
+            + cache.adjacency.heap_bytes(|a| a.heap_bytes())
+            + cache.covertree.heap_bytes(|t| t.heap_bytes())
+            + cache.grids.heap_bytes(|g| g.heap_bytes())
+            + cache.rps.heap_bytes(|r| r.heap_bytes())
     }
 
     /// Drops every cached artifact (fragment/summary entries, cached
@@ -1203,17 +1228,8 @@ impl<P: Clone + Sync, M: BatchMetric<P>> MetricDbscan<P, M> {
         cache.rps.entries.clear();
     }
 
-    fn count_lookup(&self, hit: bool) {
-        if hit {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        }
-        self.record_cache_event(hit);
-    }
-
     /// Reports one cache lookup to the recorder, if any. Observational
-    /// only — every caller has already updated its own counters.
+    /// only — the lookup has already updated its own counters.
     fn record_cache_event(&self, hit: bool) {
         if let Some(rec) = &self.recorder {
             rec.event(
@@ -1466,13 +1482,14 @@ impl<'e, P: Clone + Sync, M: BatchMetric<P>> EngineSnapshot<'e, P, M> {
         rp: RpStats,
         detail: RunDetail,
     ) -> RunReport {
+        let stats = self.engine.cache_stats();
         let report = RunReport {
             algorithm,
             epoch: self.state.epoch,
             total_secs: t0.elapsed().as_secs_f64(),
             cache_hit: hit,
-            cache_hits: self.engine.hits.load(Ordering::Relaxed),
-            cache_misses: self.engine.misses.load(Ordering::Relaxed),
+            cache_hits: stats.hits,
+            cache_misses: stats.misses,
             pruning,
             candidates,
             rp,
@@ -1487,156 +1504,114 @@ impl<'e, P: Clone + Sync, M: BatchMetric<P>> EngineSnapshot<'e, P, M> {
     /// Resolves this snapshot's ε-aligned grid index, or `None` to stay
     /// on the generic path: the engine must have opted into
     /// [`CandidateIndex::Grid`] *and* the metric must expose a
-    /// coordinate view of dimension `1..=GRID_MAX_DIM`.
-    ///
-    /// A same-epoch cached grid is a hit; otherwise the newest
-    /// older-epoch grid at the same cell side is *extended* by the
-    /// appended points' coordinates (counted as an upgrade). Either way
-    /// the resolution performs **zero distance evaluations** —
-    /// coordinate extraction and binning never consult the metric.
+    /// coordinate view of dimension `1..=GRID_MAX_DIM`. Grids are cached
+    /// per cell side; see [`EngineSnapshot::resolve_coords`].
     fn resolve_grid(&self, eps: f64) -> Option<Arc<GridIndex>> {
-        let engine = self.engine;
-        if engine.candidate_index != CandidateIndex::Grid {
+        if self.engine.candidate_index != CandidateIndex::Grid {
             return None;
         }
-        let dim = engine.metric.grid_coords(&[], &mut Vec::new())?;
+        let dim = self.engine.metric.grid_coords(&[], &mut Vec::new())?;
         if dim == 0 || dim > GRID_MAX_DIM {
             return None;
         }
         let cell = eps / (dim as f64).sqrt();
-        let probe_started = engine.recorder.as_ref().map(|_| Instant::now());
-        let finish = |g: Arc<GridIndex>| {
-            if let (Some(rec), Some(t)) = (&engine.recorder, probe_started) {
-                rec.phase(Phase::CandidateProbe, t.elapsed());
-            }
-            Some(g)
-        };
-        let key = GridKey {
-            epoch: self.state.epoch,
-            cell_bits: cell.to_bits(),
-        };
-        let (found, base) = {
-            let mut cache = engine.cache_lock();
-            match cache.grids.promote(&key).map(Arc::clone) {
-                Some(g) => (Some(g), None),
-                None => {
-                    // Newest older-epoch grid at the same cell side:
-                    // points are append-only, so it covers a prefix.
-                    let mut best: Option<(u64, Arc<GridIndex>)> = None;
-                    for (k, v) in &cache.grids.entries {
-                        if k.cell_bits == key.cell_bits
-                            && k.epoch < key.epoch
-                            && best.as_ref().is_none_or(|(e, _)| k.epoch > *e)
-                        {
-                            best = Some((k.epoch, Arc::clone(v)));
-                        }
-                    }
-                    (None, best.map(|(_, g)| g))
-                }
-            }
-        };
-        if let Some(g) = found {
-            engine.grid_hits.fetch_add(1, Ordering::Relaxed);
-            engine.record_cache_event(true);
-            return finish(g);
-        }
-        engine.grid_misses.fetch_add(1, Ordering::Relaxed);
-        engine.record_cache_event(false);
-        let points: &[P] = &self.state.points;
-        let built = match base {
-            Some(b) if b.len() == points.len() => {
-                engine.upgrade_count.fetch_add(1, Ordering::Relaxed);
-                b
-            }
-            Some(b) => {
-                let mut coords = Vec::with_capacity((points.len() - b.len()) * dim);
-                engine.metric.grid_coords(&points[b.len()..], &mut coords);
-                engine.upgrade_count.fetch_add(1, Ordering::Relaxed);
-                Arc::new(b.extend(&coords))
-            }
-            None => {
-                let mut coords = Vec::with_capacity(points.len() * dim);
-                engine.metric.grid_coords(points, &mut coords);
-                Arc::new(GridIndex::build(dim, cell, coords))
-            }
-        };
-        engine.cache_lock().grids.insert(key, Arc::clone(&built));
-        finish(built)
+        Some(self.resolve_coords(
+            dim,
+            cell.to_bits(),
+            |cache| &mut cache.grids,
+            |coords| GridIndex::build(dim, cell, coords),
+        ))
     }
 
     /// Resolves this snapshot's random-projection index, or `None` to
     /// stay on the generic path: the engine must have opted into
     /// [`CandidateIndex::RandomProjection`] *and* the metric must expose
-    /// a coordinate view (any dimension).
-    ///
-    /// The index is ε-independent, so the cache is keyed by epoch alone.
-    /// A same-epoch cached index is a hit; otherwise the newest
-    /// older-epoch index is *extended* by the appended points'
-    /// coordinates (counted as an upgrade) — the projection lists store
-    /// their values, so an extended index is bit-identical to a fresh
-    /// build over the concatenated sequence. Resolution performs **zero
-    /// distance evaluations**.
+    /// a coordinate view (any dimension). The index is ε-independent,
+    /// so one entry per epoch serves every probe; the projection lists
+    /// store their values, so an extended index is bit-identical to a
+    /// fresh build over the concatenated sequence.
     fn resolve_rp(&self) -> Option<Arc<RpIndex>> {
-        let engine = self.engine;
-        let CandidateIndex::RandomProjection(cfg) = engine.candidate_index else {
+        let CandidateIndex::RandomProjection(cfg) = self.engine.candidate_index else {
             return None;
         };
-        let dim = engine.metric.grid_coords(&[], &mut Vec::new())?;
+        let dim = self.engine.metric.grid_coords(&[], &mut Vec::new())?;
         if dim == 0 {
             return None;
         }
+        Some(self.resolve_coords(
+            dim,
+            (),
+            |cache| &mut cache.rps,
+            |coords| RpIndex::build(dim, &coords, cfg),
+        ))
+    }
+
+    /// Resolves a coordinate index from the cache that `lru` selects
+    /// (see [`EngineSnapshot::resolve`]): a grown index absorbs the
+    /// appended points' coordinates, a fresh one `build`s from them all.
+    /// Either way the resolution performs **zero distance evaluations**
+    /// — coordinate extraction never consults the metric.
+    fn resolve_coords<K: PartialEq, I: CoordIndex>(
+        &self,
+        dim: usize,
+        key: K,
+        lru: fn(&mut EngineCache) -> &mut EpochLru<K, Arc<I>>,
+        build: impl FnOnce(Vec<f64>) -> I,
+    ) -> Arc<I> {
+        let engine = self.engine;
         let probe_started = engine.recorder.as_ref().map(|_| Instant::now());
-        let finish = |r: Arc<RpIndex>| {
-            if let (Some(rec), Some(t)) = (&engine.recorder, probe_started) {
-                rec.phase(Phase::CandidateProbe, t.elapsed());
-            }
-            Some(r)
-        };
-        let key = self.state.epoch;
-        let (found, base) = {
-            let mut cache = engine.cache_lock();
-            match cache.rps.promote(&key).map(Arc::clone) {
-                Some(r) => (Some(r), None),
-                None => {
-                    // Newest older-epoch index: points are append-only,
-                    // so it covers a prefix of this epoch's points.
-                    let mut best: Option<(u64, Arc<RpIndex>)> = None;
-                    for (k, v) in &cache.rps.entries {
-                        if *k < key && best.as_ref().is_none_or(|(e, _)| *k > *e) {
-                            best = Some((*k, Arc::clone(v)));
-                        }
-                    }
-                    (None, best.map(|(_, r)| r))
-                }
-            }
-        };
-        if let Some(r) = found {
-            engine.rp_hits.fetch_add(1, Ordering::Relaxed);
-            engine.record_cache_event(true);
-            return finish(r);
-        }
-        engine.rp_misses.fetch_add(1, Ordering::Relaxed);
-        engine.record_cache_event(false);
         let points: &[P] = &self.state.points;
-        let built = match base {
-            Some(b) if b.len() == points.len() => {
-                engine.upgrade_count.fetch_add(1, Ordering::Relaxed);
-                b
-            }
-            Some(b) => {
-                let mut coords = Vec::with_capacity((points.len() - b.len()) * dim);
-                engine.metric.grid_coords(&points[b.len()..], &mut coords);
-                engine.upgrade_count.fetch_add(1, Ordering::Relaxed);
-                Arc::new(b.extend(&coords))
-            }
-            None => {
-                let mut coords = Vec::with_capacity(points.len() * dim);
-                engine.metric.grid_coords(points, &mut coords);
-                Arc::new(RpIndex::build(dim, &coords, cfg))
-            }
+        let coords = |points: &[P]| {
+            let mut coords = Vec::with_capacity(points.len() * dim);
+            engine.metric.grid_coords(points, &mut coords);
+            coords
         };
-        engine.cache_lock().rps.insert(key, Arc::clone(&built));
-        finish(built)
+        let (index, _) = self.resolve(lru, key, |base| match base {
+            Some(base) if base.len() == points.len() => base,
+            Some(base) => Arc::new(base.extend(&coords(&points[base.len()..]))),
+            None => Arc::new(build(coords(points))),
+        });
+        if let (Some(rec), Some(t)) = (&engine.recorder, probe_started) {
+            rec.phase(Phase::CandidateProbe, t.elapsed());
+        }
+        index
+    }
+
+    /// Looks `key` up at this epoch in the cache `lru` selects. A hit
+    /// returns the cached value. A miss hands `make` the newest older
+    /// epoch's value under `key` (points are append-only, so it covers
+    /// a prefix; counted as an upgrade), or `None`, and caches what
+    /// `make` returns. `make` runs outside the lock, so concurrent
+    /// queries are not stalled behind it; racing threads make the same
+    /// deterministic value. The flag is whether it was a hit.
+    fn resolve<K: PartialEq, V: Clone>(
+        &self,
+        lru: fn(&mut EngineCache) -> &mut EpochLru<K, V>,
+        key: K,
+        make: impl FnOnce(Option<V>) -> V,
+    ) -> (V, bool) {
+        let engine = self.engine;
+        let epoch = self.state.epoch;
+        let found = {
+            let mut cache = engine.cache_lock();
+            let found = lru(&mut cache).lookup(epoch, &key, |_| true, true);
+            if let Lookup::Base(..) = found {
+                cache.upgrades += 1;
+            }
+            found
+        };
+        let base = match found {
+            Lookup::Hit(value) => {
+                engine.record_cache_event(true);
+                return (value, true);
+            }
+            Lookup::Base(_, base) => Some(base),
+            Lookup::Miss => None,
+        };
+        engine.record_cache_event(false);
+        let value = make(base);
+        lru(&mut engine.cache_lock()).insert(epoch, key, value.clone());
+        (value, false)
     }
 
     /// Consults the epoch+`ε`-keyed adjacency cache. A same-epoch entry
@@ -1646,62 +1621,33 @@ impl<'e, P: Clone + Sync, M: BatchMetric<P>> EngineSnapshot<'e, P, M> {
     /// means "build it" (and hand it back via `store_adjacency`).
     fn lookup_adjacency(
         &self,
-        kind: NetKind,
-        level: i32,
-        threshold: f64,
+        key: AdjKey,
         num_centers: usize,
-        pruned: bool,
         parallel: &ParallelConfig,
-    ) -> (AdjKey, Option<Arc<CenterAdjacency>>) {
-        let key = AdjKey {
-            kind,
-            epoch: self.state.epoch,
-            level,
-            threshold_bits: threshold.to_bits(),
-            pruned,
-        };
+    ) -> Option<Arc<CenterAdjacency>> {
         let engine = self.engine;
-        let (found, base) = {
+        let found = {
             let mut cache = engine.cache_lock();
             // A loaded cover-tree entry cannot be checked against its net
             // at load time (the net is extracted per query), so one whose
-            // rows do not match this net is a miss.
-            let same_epoch = cache
-                .adjacency
-                .promote(&key)
-                .filter(|adj| adj.len() == num_centers)
-                .map(Arc::clone);
-            match same_epoch {
-                Some(adj) => (Some(adj), None),
-                None if kind == NetKind::Gonzalez => {
-                    // Newest older-epoch entry at the same threshold:
-                    // centers are append-only, so it covers a prefix.
-                    let mut best: Option<(u64, Arc<CenterAdjacency>)> = None;
-                    for (k, v) in &cache.adjacency.entries {
-                        if k.kind == key.kind
-                            && k.level == key.level
-                            && k.threshold_bits == key.threshold_bits
-                            && k.pruned == key.pruned
-                            && k.epoch < key.epoch
-                            && best.as_ref().is_none_or(|(e, _)| k.epoch > *e)
-                        {
-                            best = Some((k.epoch, Arc::clone(v)));
-                        }
-                    }
-                    (None, best.map(|(_, adj)| adj))
-                }
-                None => (None, None),
+            // rows do not match this net is a miss. Centers are
+            // append-only, so an older Gonzalez entry covers a prefix.
+            let found = cache.adjacency.lookup(
+                self.state.epoch,
+                &key,
+                |adj| adj.len() == num_centers,
+                key.kind == NetKind::Gonzalez,
+            );
+            if let Lookup::Base(..) = found {
+                cache.upgrades += 1;
             }
+            found
         };
-        if found.is_some() {
-            engine.adj_hits.fetch_add(1, Ordering::Relaxed);
-            engine.record_cache_event(true);
-            return (key, found);
-        }
-        engine.adj_misses.fetch_add(1, Ordering::Relaxed);
-        engine.record_cache_event(false);
-        let Some(base) = base else {
-            return (key, None);
+        engine.record_cache_event(matches!(found, Lookup::Hit(_)));
+        let base = match found {
+            Lookup::Hit(adj) => return Some(adj),
+            Lookup::Base(_, base) => base,
+            Lookup::Miss => return None,
         };
         let centers = &self.state.net.centers;
         let extended = if base.len() == centers.len() {
@@ -1717,16 +1663,15 @@ impl<'e, P: Clone + Sync, M: BatchMetric<P>> EngineSnapshot<'e, P, M> {
                 parallel,
             ))
         };
-        engine.upgrade_count.fetch_add(1, Ordering::Relaxed);
         self.store_adjacency(key, &extended);
-        (key, Some(extended))
+        Some(extended)
     }
 
     fn store_adjacency(&self, key: AdjKey, adjacency: &Arc<CenterAdjacency>) {
         self.engine
             .cache_lock()
             .adjacency
-            .insert(key, Arc::clone(adjacency));
+            .insert(self.state.epoch, key, Arc::clone(adjacency));
     }
 
     /// Shared Steps-1–3 driver with fragment- and adjacency-cache
@@ -1744,9 +1689,9 @@ impl<'e, P: Clone + Sync, M: BatchMetric<P>> EngineSnapshot<'e, P, M> {
         // Without the dense shortcut `dense_cores` means something else,
         // so only runs with it read or write the cache.
         let cacheable = cfg.dense_shortcut;
+        let epoch = self.state.epoch;
         let key = CacheKey {
             kind,
-            epoch: self.state.epoch,
             eps_bits: params.eps().to_bits(),
             min_pts: params.min_pts(),
             rho_bits: None,
@@ -1760,36 +1705,38 @@ impl<'e, P: Clone + Sync, M: BatchMetric<P>> EngineSnapshot<'e, P, M> {
             // A loaded cover-tree entry cannot be checked against its net
             // at load time (the net is extracted per query), so one whose
             // rows do not match this net is a miss.
-            let found = cache
-                .fragments
-                .get_steps(&key)
-                .filter(|a| a.fragments.num_rows() == view.num_centers());
-            if found.is_none() && kind == NetKind::Gonzalez {
-                if let Some((from, art)) = cache.fragments.best_steps_base(&key) {
-                    if let Some(dirty) = cache.dirty_since(from, key.epoch, art.is_core.len()) {
+            let rows = view.num_centers();
+            let found = cache.fragments.lookup(
+                epoch,
+                &key,
+                |a| matches!(a, CachedArtifacts::Steps(s) if s.fragments.num_rows() == rows),
+                kind == NetKind::Gonzalez,
+            );
+            let cached = match found {
+                Lookup::Hit(CachedArtifacts::Steps(a)) => Some(a),
+                Lookup::Base(from, CachedArtifacts::Steps(art)) => {
+                    if let Some(dirty) = cache.dirty_since(from, epoch, art.is_core.len()) {
+                        cache.upgrades += 1;
                         upgrade_base = Some((art, dirty));
                     }
+                    None
                 }
-            }
+                _ => None,
+            };
             drop(cache);
-            engine.count_lookup(found.is_some());
-            found
+            engine.record_cache_event(cached.is_some());
+            cached
         } else {
             None
         };
         let hit = cached.is_some();
-        if upgrade_base.is_some() {
-            engine.upgrade_count.fetch_add(1, Ordering::Relaxed);
-        }
-        let threshold = 2.0 * view.rbar + params.eps();
-        let (adj_key, adj_cached) = self.lookup_adjacency(
+        let adj_key = AdjKey {
             kind,
             level,
-            threshold,
-            view.num_centers(),
-            cfg.pruning.enabled,
-            &cfg.parallel,
-        );
+            threshold_bits: (2.0 * view.rbar + params.eps()).to_bits(),
+            pruned: cfg.pruning.enabled,
+        };
+        let adj_cached = self.lookup_adjacency(adj_key, view.num_centers(), &cfg.parallel);
         let adj_was_cached = adj_cached.is_some();
         let outcome = run_exact_steps(
             &self.state.points,
@@ -1812,10 +1759,11 @@ impl<'e, P: Clone + Sync, M: BatchMetric<P>> EngineSnapshot<'e, P, M> {
         }
         if cacheable {
             if let Some(artifacts) = outcome.fresh_artifacts {
-                engine
-                    .cache_lock()
-                    .fragments
-                    .insert(key, CachedArtifacts::Steps(Arc::new(artifacts)));
+                engine.cache_lock().fragments.insert(
+                    epoch,
+                    key,
+                    CachedArtifacts::Steps(Arc::new(artifacts)),
+                );
             }
         }
         (Clustering::from_labels(outcome.labels), outcome.stats, hit)
@@ -1864,28 +1812,32 @@ impl<'e, P: Clone + Sync, M: BatchMetric<P>> EngineSnapshot<'e, P, M> {
         self.check_usable(params.rbar())?;
         let engine = self.engine;
         let view = self.view();
+        let epoch = self.state.epoch;
         let key = CacheKey {
             kind: NetKind::Gonzalez,
-            epoch: self.state.epoch,
             eps_bits: params.eps().to_bits(),
             min_pts: params.min_pts(),
             rho_bits: Some(params.rho().to_bits()),
         };
-        let cached: Option<Arc<ApproxArtifacts>> = {
-            let found = engine.cache_lock().fragments.get_approx(&key);
-            engine.count_lookup(found.is_some());
-            found
-        };
-        let hit = cached.is_some();
-        let threshold = approx_threshold(view.rbar, params);
-        let (adj_key, adj_cached) = self.lookup_adjacency(
-            NetKind::Gonzalez,
-            0,
-            threshold,
-            view.num_centers(),
-            engine.pruning.enabled,
-            &engine.parallel,
+        let found = engine.cache_lock().fragments.lookup(
+            epoch,
+            &key,
+            |a| matches!(a, CachedArtifacts::Approx(_)),
+            false,
         );
+        let cached = match found {
+            Lookup::Hit(CachedArtifacts::Approx(a)) => Some(a),
+            _ => None,
+        };
+        engine.record_cache_event(cached.is_some());
+        let hit = cached.is_some();
+        let adj_key = AdjKey {
+            kind: NetKind::Gonzalez,
+            level: 0,
+            threshold_bits: approx_threshold(view.rbar, params).to_bits(),
+            pruned: engine.pruning.enabled,
+        };
+        let adj_cached = self.lookup_adjacency(adj_key, view.num_centers(), &engine.parallel);
         let adj_was_cached = adj_cached.is_some();
         let grid = self.resolve_grid(params.eps());
         let rp = self.resolve_rp();
@@ -1907,10 +1859,11 @@ impl<'e, P: Clone + Sync, M: BatchMetric<P>> EngineSnapshot<'e, P, M> {
             self.store_adjacency(adj_key, &outcome.adjacency);
         }
         if let Some(artifacts) = outcome.fresh_artifacts {
-            engine
-                .cache_lock()
-                .fragments
-                .insert(key, CachedArtifacts::Approx(Arc::new(artifacts)));
+            engine.cache_lock().fragments.insert(
+                epoch,
+                key,
+                CachedArtifacts::Approx(Arc::new(artifacts)),
+            );
         }
         let report = self.report(
             AlgorithmKind::Approx,
@@ -1958,69 +1911,28 @@ impl<'e, P: Clone + Sync, M: BatchMetric<P>> EngineSnapshot<'e, P, M> {
         let engine = self.engine;
         let n = self.state.points.len();
         let t = Instant::now();
-        let (skeleton, tree_hit) = {
-            let (cached, base) = {
-                let mut cache = engine.cache_lock();
-                match cache.covertree.promote(&self.state.epoch).map(Arc::clone) {
-                    Some(s) => (Some(s), None),
-                    None => {
-                        // Largest cached prefix tree (points are
-                        // append-only, so any smaller epoch's tree is a
-                        // prefix of this epoch's).
-                        let mut best: Option<Arc<CoverTreeSkeleton>> = None;
-                        for (_, s) in &cache.covertree.entries {
-                            if s.len() <= n && best.as_ref().is_none_or(|b| s.len() > b.len()) {
-                                best = Some(Arc::clone(s));
-                            }
+        let (skeleton, tree_hit) = self.resolve(
+            |cache| &mut cache.covertree,
+            (),
+            |base| {
+                let tree = match base {
+                    Some(base) => {
+                        let from = base.len();
+                        let mut tree = CoverTree::from_skeleton(
+                            &self.state.points,
+                            &engine.metric,
+                            (*base).clone(),
+                        );
+                        for i in from..n {
+                            tree.insert(i);
                         }
-                        (None, best)
+                        tree
                     }
-                }
-            };
-            match (cached, base) {
-                (Some(s), _) => (s, true),
-                (None, base) => {
-                    // Build (or grow) outside the lock so concurrent
-                    // queries are not stalled behind the sequential
-                    // construction; if two threads race, both produce
-                    // the same (deterministic) tree and the first
-                    // insertion wins.
-                    let built = match base {
-                        Some(b) if b.len() == n => {
-                            engine.upgrade_count.fetch_add(1, Ordering::Relaxed);
-                            b
-                        }
-                        Some(b) => {
-                            let from = b.len();
-                            let mut tree = CoverTree::from_skeleton(
-                                &self.state.points,
-                                &engine.metric,
-                                (*b).clone(),
-                            );
-                            for i in from..n {
-                                tree.insert(i);
-                            }
-                            engine.upgrade_count.fetch_add(1, Ordering::Relaxed);
-                            Arc::new(tree.into_skeleton())
-                        }
-                        None => {
-                            let tree = CoverTree::build(&self.state.points, &engine.metric);
-                            Arc::new(tree.into_skeleton())
-                        }
-                    };
-                    let mut cache = engine.cache_lock();
-                    let kept = match cache.covertree.promote(&self.state.epoch) {
-                        Some(existing) => Arc::clone(existing),
-                        None => {
-                            cache.covertree.insert(self.state.epoch, Arc::clone(&built));
-                            built
-                        }
-                    };
-                    (kept, false)
-                }
-            }
-        };
-        engine.count_lookup(tree_hit);
+                    None => CoverTree::build(&self.state.points, &engine.metric),
+                };
+                Arc::new(tree.into_skeleton())
+            },
+        );
         let tree =
             CoverTree::from_skeleton(&self.state.points, &engine.metric, (*skeleton).clone());
         let tree_secs = t.elapsed().as_secs_f64();
@@ -2227,6 +2139,24 @@ mod tests {
             );
             assert_eq!(cold.clustering, warm.clustering);
         }
+    }
+
+    /// A streaming-only RP engine holds one RP index and nothing else:
+    /// the heap total must count it.
+    #[test]
+    fn cache_heap_bytes_counts_every_kind() {
+        let block = mdbscan_metric::VectorBlock::<f64>::from_rows(&grid());
+        let e = MetricDbscan::builder(block.ids(), block)
+            .rbar(0.25)
+            .candidate_index(CandidateIndex::RandomProjection(RpConfig::new(7)))
+            .build()
+            .unwrap();
+        assert_eq!(e.cache_heap_bytes(), 0);
+        e.streaming(&ApproxParams::new(1.0, 3, 0.5).unwrap())
+            .unwrap();
+        let stats = e.cache_stats();
+        assert_eq!((stats.entries, stats.rp_entries), (0, 1));
+        assert!(e.cache_heap_bytes() > 0);
     }
 
     #[test]

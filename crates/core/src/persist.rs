@@ -12,12 +12,18 @@
 //!   pay exactly the evaluations an unrestarted engine would;
 //! * the ingest delta history (dirty-ball lists), so cross-epoch
 //!   incremental upgrades keep working across the restart;
-//! * every cache, in LRU order with its keys: the `ε`-keyed center
-//!   adjacencies with their lo/hi edge bounds, the Step-1/2 and summary
-//!   artifacts (Step 2's fragment→component map in its own section),
-//!   and the whole-input §3.2 trees;
-//! * the engine configuration (radius, strategy, pruning policy, cache
-//!   capacities) and the lifetime cache counters.
+//! * the entries of three caches, in LRU order with their epochs and
+//!   keys: the `ε`-keyed center adjacencies with their lo/hi edge
+//!   bounds, the Step-1/2 and summary artifacts (Step 2's
+//!   fragment→component map in its own section), and the whole-input
+//!   §3.2 trees;
+//! * the engine configuration (radius, strategy, pruning policy,
+//!   candidate index, cache capacities) and the lifetime counters of
+//!   all five caches.
+//!
+//! The grid and random-projection indexes themselves are never
+//! written — only their capacities and counters are: rebuilding them
+//! is pure coordinate arithmetic with zero distance evaluations.
 //!
 //! Loading performs **zero distance evaluations** — every number above
 //! is plain recorded data — and the loaded engine's contract is *bit
@@ -29,7 +35,6 @@
 //! of the host, not of the artifact, and labels are identical at every
 //! thread count anyway.
 
-use std::collections::VecDeque;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -47,8 +52,7 @@ use mdbscan_persist::{
 use crate::approx::ApproxArtifacts;
 use crate::engine::{
     AdjKey, CacheKey, CachedArtifacts, CandidateIndex, EngineCache, EngineSnapshot, EpochDelta,
-    EpochState, IngestState, Lru, MetricDbscan, NetKind, NetStrategy, GRID_CACHE_CAPACITY,
-    RP_CACHE_CAPACITY,
+    EpochLru, EpochState, IngestState, MetricDbscan, NetKind, NetStrategy,
 };
 use crate::error::DbscanError;
 use crate::steps::StepArtifacts;
@@ -67,14 +71,14 @@ const SEC_COVERTREES: &str = "covertree-cache";
 /// artifacts written before the map was cached lack it, and their
 /// entries decode without a map (a hit on one re-runs Step 2).
 const SEC_STEP2: &str = "step2-components";
-/// Grid candidate-index configuration. **Optional**: artifacts written
-/// before the grid subsystem existed simply lack it, and decode to
-/// [`CandidateIndex::Generic`] with default capacity and zeroed
-/// counters — so the `golden_v1` fixture (and any other v1 artifact)
-/// keeps loading bit-identically. The grid indexes themselves are
-/// never persisted: rebuilding them is pure coordinate arithmetic
-/// (zero distance evaluations), so only the toggle and its counters
-/// travel.
+/// Grid candidate-index configuration and the grid cache's capacity and
+/// counters. **Optional**: artifacts written before the grid subsystem
+/// existed simply lack it, and decode to [`CandidateIndex::Generic`]
+/// with default capacity and zeroed counters — so the `golden_v1`
+/// fixture (and any other v1 artifact) keeps loading bit-identically.
+/// The grid indexes themselves are never persisted: rebuilding them is
+/// pure coordinate arithmetic (zero distance evaluations), so only the
+/// toggle and its cache tally travel.
 const SEC_GRID: &str = "grid-index";
 /// Random-projection candidate-index cache state. **Optional** like
 /// [`SEC_GRID`]: artifacts written before the RP subsystem existed
@@ -170,84 +174,24 @@ fn decode_candidate_index(r: &mut ByteReader<'_>) -> Result<CandidateIndex, Pers
     }
 }
 
-/// The optional [`SEC_GRID`] payload, with the defaults an old artifact
-/// (no such section) decodes to.
-struct GridSection {
-    candidate_index: CandidateIndex,
-    grid_capacity: usize,
-    grid_hits: u64,
-    grid_misses: u64,
+/// A grid or RP cache's capacity and counters, as the optional
+/// [`SEC_GRID`] and [`SEC_RP`] sections store them. An artifact without
+/// the section keeps the capacity [`EngineCache::new`] derives and cold
+/// counters.
+fn encode_tally<K, V>(out: &mut ByteWriter, lru: &EpochLru<K, V>) {
+    out.put_usize(lru.capacity);
+    out.put_u64(lru.hits);
+    out.put_u64(lru.misses);
 }
 
-impl GridSection {
-    fn encode(&self, out: &mut ByteWriter) {
-        encode_candidate_index(out, self.candidate_index);
-        out.put_usize(self.grid_capacity);
-        out.put_u64(self.grid_hits);
-        out.put_u64(self.grid_misses);
-    }
-
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, PersistError> {
-        Ok(Self {
-            candidate_index: decode_candidate_index(r)?,
-            grid_capacity: r.get_usize()?,
-            grid_hits: r.get_u64()?,
-            grid_misses: r.get_u64()?,
-        })
-    }
-
-    /// What a pre-grid artifact means: the generic path, the default
-    /// capacity derivation, cold counters.
-    fn absent(frag_capacity: usize) -> Self {
-        Self {
-            candidate_index: CandidateIndex::Generic,
-            grid_capacity: if frag_capacity == 0 {
-                0
-            } else {
-                GRID_CACHE_CAPACITY
-            },
-            grid_hits: 0,
-            grid_misses: 0,
-        }
-    }
-}
-
-/// The optional [`SEC_RP`] payload, with the defaults a pre-RP artifact
-/// (no such section) decodes to.
-struct RpSection {
-    rp_capacity: usize,
-    rp_hits: u64,
-    rp_misses: u64,
-}
-
-impl RpSection {
-    fn encode(&self, out: &mut ByteWriter) {
-        out.put_usize(self.rp_capacity);
-        out.put_u64(self.rp_hits);
-        out.put_u64(self.rp_misses);
-    }
-
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, PersistError> {
-        Ok(Self {
-            rp_capacity: r.get_usize()?,
-            rp_hits: r.get_u64()?,
-            rp_misses: r.get_u64()?,
-        })
-    }
-
-    /// What a pre-RP artifact means: the default capacity derivation,
-    /// cold counters.
-    fn absent(frag_capacity: usize) -> Self {
-        Self {
-            rp_capacity: if frag_capacity == 0 {
-                0
-            } else {
-                RP_CACHE_CAPACITY
-            },
-            rp_hits: 0,
-            rp_misses: 0,
-        }
-    }
+fn decode_tally<K, V>(
+    r: &mut ByteReader<'_>,
+    lru: &mut EpochLru<K, V>,
+) -> Result<(), PersistError> {
+    lru.capacity = r.get_usize()?;
+    lru.hits = r.get_u64()?;
+    lru.misses = r.get_u64()?;
+    Ok(())
 }
 
 fn encode_net_kind(out: &mut ByteWriter, kind: NetKind) {
@@ -265,65 +209,93 @@ fn decode_net_kind(r: &mut ByteReader<'_>) -> Result<NetKind, PersistError> {
     }
 }
 
-/// The fixed-size engine-section payload: configuration plus counters.
-struct EngineSection {
+/// The engine configuration an artifact carries; the cache capacities
+/// and counters stored beside it decode into an [`EngineCache`].
+struct EngineConfig {
     rbar: f64,
     max_centers: usize,
     strategy: NetStrategy,
     pruning: PruningConfig,
-    frag_capacity: usize,
-    adj_capacity: usize,
-    tree_capacity: usize,
+    candidate_index: CandidateIndex,
     epoch: u64,
     publishes: u64,
-    hits: u64,
-    misses: u64,
-    upgrades: u64,
-    adj_hits: u64,
-    adj_misses: u64,
 }
 
-impl EngineSection {
-    fn encode(&self, out: &mut ByteWriter) {
-        out.put_f64(self.rbar);
-        out.put_usize(self.max_centers);
-        encode_strategy(out, self.strategy);
-        self.pruning.encode(out);
-        out.put_usize(self.frag_capacity);
-        out.put_usize(self.adj_capacity);
-        out.put_usize(self.tree_capacity);
-        out.put_u64(self.epoch);
-        out.put_u64(self.publishes);
-        out.put_u64(self.hits);
-        out.put_u64(self.misses);
-        out.put_u64(self.upgrades);
-        out.put_u64(self.adj_hits);
-        out.put_u64(self.adj_misses);
-    }
-
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, PersistError> {
-        Ok(Self {
-            rbar: r.get_f64()?,
-            max_centers: r.get_usize()?,
-            strategy: decode_strategy(r)?,
-            pruning: PruningConfig::decode(r)?,
-            frag_capacity: r.get_usize()?,
-            adj_capacity: r.get_usize()?,
-            tree_capacity: r.get_usize()?,
-            epoch: r.get_u64()?,
-            publishes: r.get_u64()?,
-            hits: r.get_u64()?,
-            misses: r.get_u64()?,
-            upgrades: r.get_u64()?,
-            adj_hits: r.get_u64()?,
-            adj_misses: r.get_u64()?,
-        })
-    }
+/// Writes the engine, grid and RP sections: `engine`'s configuration at
+/// `epoch`, plus `cache`'s capacities and counters.
+fn encode_config<P, M>(
+    w: &mut ArtifactWriter,
+    engine: &MetricDbscan<P, M>,
+    cache: &EngineCache,
+    epoch: u64,
+    publishes: u64,
+) {
+    let s = w.section(SEC_ENGINE);
+    s.put_f64(engine.rbar);
+    s.put_usize(engine.max_centers);
+    encode_strategy(s, engine.strategy);
+    engine.pruning.encode(s);
+    s.put_usize(cache.fragments.capacity);
+    s.put_usize(cache.adjacency.capacity);
+    s.put_usize(cache.covertree.capacity);
+    s.put_u64(epoch);
+    s.put_u64(publishes);
+    // One hit and one miss count cover the fragment and cover-tree
+    // lookups ([`crate::CacheStats::hits`]).
+    s.put_u64(cache.fragments.hits + cache.covertree.hits);
+    s.put_u64(cache.fragments.misses + cache.covertree.misses);
+    s.put_u64(cache.upgrades);
+    s.put_u64(cache.adjacency.hits);
+    s.put_u64(cache.adjacency.misses);
+    let s = w.section(SEC_GRID);
+    encode_candidate_index(s, engine.candidate_index);
+    encode_tally(s, &cache.grids);
+    encode_tally(w.section(SEC_RP), &cache.rps);
 }
 
-fn encode_cache_key(out: &mut ByteWriter, key: &CacheKey) {
+/// Reads what [`encode_config`] wrote into the configuration and an
+/// empty cache with the stored capacities and counters. The combined
+/// fragment and cover-tree counts land on the fragment tally; only
+/// their sum is ever read.
+fn decode_config(art: &ArtifactReader<'_>) -> Result<(EngineConfig, EngineCache), PersistError> {
+    let mut r = art.require_section(SEC_ENGINE)?;
+    let rbar = r.get_f64()?;
+    let max_centers = r.get_usize()?;
+    let strategy = decode_strategy(&mut r)?;
+    let pruning = PruningConfig::decode(&mut r)?;
+    let mut cache = EngineCache::new(r.get_usize()?);
+    cache.adjacency.capacity = r.get_usize()?;
+    cache.covertree.capacity = r.get_usize()?;
+    let epoch = r.get_u64()?;
+    let publishes = r.get_u64()?;
+    cache.fragments.hits = r.get_u64()?;
+    cache.fragments.misses = r.get_u64()?;
+    cache.upgrades = r.get_u64()?;
+    cache.adjacency.hits = r.get_u64()?;
+    cache.adjacency.misses = r.get_u64()?;
+    let mut candidate_index = CandidateIndex::Generic;
+    if let Some(mut r) = art.section(SEC_GRID) {
+        candidate_index = decode_candidate_index(&mut r)?;
+        decode_tally(&mut r, &mut cache.grids)?;
+    }
+    if let Some(mut r) = art.section(SEC_RP) {
+        decode_tally(&mut r, &mut cache.rps)?;
+    }
+    let cfg = EngineConfig {
+        rbar,
+        max_centers,
+        strategy,
+        pruning,
+        candidate_index,
+        epoch,
+        publishes,
+    };
+    Ok((cfg, cache))
+}
+
+fn encode_cache_key(out: &mut ByteWriter, epoch: u64, key: &CacheKey) {
     encode_net_kind(out, key.kind);
-    out.put_u64(key.epoch);
+    out.put_u64(epoch);
     out.put_u64(key.eps_bits);
     out.put_usize(key.min_pts);
     match key.rho_bits {
@@ -335,10 +307,11 @@ fn encode_cache_key(out: &mut ByteWriter, key: &CacheKey) {
     }
 }
 
-fn decode_cache_key(r: &mut ByteReader<'_>) -> Result<CacheKey, PersistError> {
-    Ok(CacheKey {
-        kind: decode_net_kind(r)?,
-        epoch: r.get_u64()?,
+fn decode_cache_key(r: &mut ByteReader<'_>) -> Result<(u64, CacheKey), PersistError> {
+    let kind = decode_net_kind(r)?;
+    let epoch = r.get_u64()?;
+    let key = CacheKey {
+        kind,
         eps_bits: r.get_u64()?,
         min_pts: r.get_usize()?,
         rho_bits: if r.get_bool()? {
@@ -346,25 +319,28 @@ fn decode_cache_key(r: &mut ByteReader<'_>) -> Result<CacheKey, PersistError> {
         } else {
             None
         },
-    })
+    };
+    Ok((epoch, key))
 }
 
-fn encode_adj_key(out: &mut ByteWriter, key: &AdjKey) {
+fn encode_adj_key(out: &mut ByteWriter, epoch: u64, key: &AdjKey) {
     encode_net_kind(out, key.kind);
-    out.put_u64(key.epoch);
+    out.put_u64(epoch);
     out.put_i32(key.level);
     out.put_u64(key.threshold_bits);
     out.put_bool(key.pruned);
 }
 
-fn decode_adj_key(r: &mut ByteReader<'_>) -> Result<AdjKey, PersistError> {
-    Ok(AdjKey {
-        kind: decode_net_kind(r)?,
-        epoch: r.get_u64()?,
+fn decode_adj_key(r: &mut ByteReader<'_>) -> Result<(u64, AdjKey), PersistError> {
+    let kind = decode_net_kind(r)?;
+    let epoch = r.get_u64()?;
+    let key = AdjKey {
+        kind,
         level: r.get_i32()?,
         threshold_bits: r.get_u64()?,
         pruned: r.get_bool()?,
-    })
+    };
+    Ok((epoch, key))
 }
 
 fn encode_steps(out: &mut ByteWriter, a: &StepArtifacts) {
@@ -583,36 +559,8 @@ where
         let state = self.publish_locked(&writer);
         let mut w = ArtifactWriter::new(ArtifactKind::Engine, P::TYPE_TAG, M::METRIC_TAG);
         let cache = self.cache_lock();
-        EngineSection {
-            rbar: self.rbar,
-            max_centers: self.max_centers,
-            strategy: self.strategy,
-            pruning: self.pruning,
-            frag_capacity: cache.fragments.capacity,
-            adj_capacity: cache.adjacency.capacity,
-            tree_capacity: cache.covertree.capacity,
-            epoch: state.epoch,
-            publishes: self.publishes.load(Ordering::Relaxed),
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            upgrades: self.upgrade_count.load(Ordering::Relaxed),
-            adj_hits: self.adj_hits.load(Ordering::Relaxed),
-            adj_misses: self.adj_misses.load(Ordering::Relaxed),
-        }
-        .encode(w.section(SEC_ENGINE));
-        GridSection {
-            candidate_index: self.candidate_index,
-            grid_capacity: cache.grids.capacity,
-            grid_hits: self.grid_hits.load(Ordering::Relaxed),
-            grid_misses: self.grid_misses.load(Ordering::Relaxed),
-        }
-        .encode(w.section(SEC_GRID));
-        RpSection {
-            rp_capacity: cache.rps.capacity,
-            rp_hits: self.rp_hits.load(Ordering::Relaxed),
-            rp_misses: self.rp_misses.load(Ordering::Relaxed),
-        }
-        .encode(w.section(SEC_RP));
+        let publishes = self.publishes.load(Ordering::Relaxed);
+        encode_config(&mut w, self, &cache, state.epoch, publishes);
         encode_epoch_state(&mut w, &state);
 
         let s = w.section(SEC_WRITER);
@@ -634,15 +582,15 @@ where
 
         let s = w.section(SEC_ADJACENCY);
         s.put_usize(cache.adjacency.entries.len());
-        for (key, adj) in &cache.adjacency.entries {
-            encode_adj_key(s, key);
+        for (epoch, key, adj) in &cache.adjacency.entries {
+            encode_adj_key(s, *epoch, key);
             adj.encode(s);
         }
 
         let s = w.section(SEC_FRAGMENTS);
         s.put_usize(cache.fragments.entries.len());
-        for (key, artifact) in &cache.fragments.entries {
-            encode_cache_key(s, key);
+        for (epoch, key, artifact) in &cache.fragments.entries {
+            encode_cache_key(s, *epoch, key);
             match artifact {
                 CachedArtifacts::Steps(a) => {
                     s.put_u8(0);
@@ -655,25 +603,25 @@ where
             }
         }
 
-        let maps: Vec<(&CacheKey, &Vec<u32>)> = cache
+        let maps: Vec<(u64, &CacheKey, &Vec<u32>)> = cache
             .fragments
             .entries
             .iter()
-            .filter_map(|(key, artifact)| match artifact {
-                CachedArtifacts::Steps(a) => a.components.as_ref().map(|c| (key, c)),
+            .filter_map(|(epoch, key, artifact)| match artifact {
+                CachedArtifacts::Steps(a) => a.components.as_ref().map(|c| (*epoch, key, c)),
                 CachedArtifacts::Approx(_) => None,
             })
             .collect();
         let s = w.section(SEC_STEP2);
         s.put_usize(maps.len());
-        for (key, map) in maps {
-            encode_cache_key(s, key);
+        for (epoch, key, map) in maps {
+            encode_cache_key(s, epoch, key);
             s.put_u32s(map);
         }
 
         let s = w.section(SEC_COVERTREES);
         s.put_usize(cache.covertree.entries.len());
-        for (epoch, skeleton) in &cache.covertree.entries {
+        for (epoch, (), skeleton) in &cache.covertree.entries {
             s.put_u64(*epoch);
             skeleton.encode(s);
         }
@@ -787,18 +735,7 @@ where
             .into());
         }
 
-        let mut s = art.require_section(SEC_ENGINE)?;
-        let cfg = EngineSection::decode(&mut s)?;
-
-        let grid = match art.section(SEC_GRID) {
-            Some(mut s) => GridSection::decode(&mut s)?,
-            None => GridSection::absent(cfg.frag_capacity),
-        };
-
-        let rp = match art.section(SEC_RP) {
-            Some(mut s) => RpSection::decode(&mut s)?,
-            None => RpSection::absent(cfg.frag_capacity),
-        };
+        let (cfg, mut cache) = decode_config(art)?;
 
         let mut s = art.require_section(SEC_POINTS)?;
         let point_payload_bytes = s.remaining() as u64;
@@ -868,7 +805,6 @@ where
             }
         }
 
-        let mut deltas = VecDeque::new();
         if let Some(mut s) = art.section(SEC_DELTAS) {
             let count = s.get_usize()?;
             for _ in 0..count {
@@ -905,21 +841,20 @@ where
                     )
                     .into());
                 }
-                deltas.push_back(delta);
+                cache.deltas.push_back(delta);
             }
         }
 
-        let mut adjacency = Lru::new(cfg.adj_capacity);
         if let Some(mut s) = art.section(SEC_ADJACENCY) {
             let count = s.get_usize()?;
             for _ in 0..count {
-                let key = decode_adj_key(&mut s)?;
+                let (epoch, key) = decode_adj_key(&mut s)?;
                 let adj = CenterAdjacency::decode(&mut s)?;
                 // Gonzalez-kind entries index (a prefix of) the loaded
                 // net's center list — current-epoch entries exactly so
                 // — and may serve as cross-epoch extension bases.
                 if key.kind == NetKind::Gonzalez {
-                    let expected_exact = key.epoch == cfg.epoch;
+                    let expected_exact = epoch == cfg.epoch;
                     let rows = adj.neighbors.num_rows();
                     if (expected_exact && rows != net.centers.len()) || rows > net.centers.len() {
                         return Err(PersistError::format(
@@ -932,12 +867,12 @@ where
                         .into());
                     }
                 }
-                adjacency.entries.push((key, Arc::new(adj)));
+                cache.adjacency.entries.push((epoch, key, Arc::new(adj)));
             }
-            adjacency.entries.truncate(cfg.adj_capacity);
+            cache.adjacency.entries.truncate(cache.adjacency.capacity);
         }
 
-        let mut maps: Vec<(CacheKey, Vec<u32>)> = Vec::new();
+        let mut maps: Vec<((u64, CacheKey), Vec<u32>)> = Vec::new();
         if let Some(mut s) = art.section(SEC_STEP2) {
             let count = s.get_usize()?;
             for _ in 0..count {
@@ -945,12 +880,11 @@ where
             }
         }
 
-        let mut fragments = Lru::new(cfg.frag_capacity);
         if let Some(mut s) = art.section(SEC_FRAGMENTS) {
             let count = s.get_usize()?;
             for _ in 0..count {
-                let key = decode_cache_key(&mut s)?;
-                let current = key.epoch == cfg.epoch;
+                let (epoch, key) = decode_cache_key(&mut s)?;
+                let current = epoch == cfg.epoch;
                 let centers = net.centers.len();
                 let artifact = match s.get_u8()? {
                     0 => {
@@ -976,7 +910,7 @@ where
                         if key.kind == NetKind::Gonzalez {
                             check_center_rows(rows, current, centers)?;
                         }
-                        if let Some(i) = maps.iter().position(|(k, _)| *k == key) {
+                        if let Some(i) = maps.iter().position(|(k, _)| *k == (epoch, key)) {
                             let map = maps.swap_remove(i).1;
                             if map.len() != rows || map.iter().any(|&c| c as usize >= rows) {
                                 return Err(PersistError::format(
@@ -996,12 +930,11 @@ where
                     }
                     b => return Err(s.err(format!("unknown artifact variant {b}")).into()),
                 };
-                fragments.entries.push((key, artifact));
+                cache.fragments.entries.push((epoch, key, artifact));
             }
-            fragments.entries.truncate(cfg.frag_capacity);
+            cache.fragments.entries.truncate(cache.fragments.capacity);
         }
 
-        let mut covertree = Lru::new(cfg.tree_capacity);
         if let Some(mut s) = art.section(SEC_COVERTREES) {
             let count = s.get_usize()?;
             for _ in 0..count {
@@ -1022,22 +955,20 @@ where
                     )
                     .into());
                 }
-                covertree.entries.push((epoch, Arc::new(skeleton)));
+                cache
+                    .covertree
+                    .entries
+                    .push((epoch, (), Arc::new(skeleton)));
             }
-            covertree.entries.truncate(cfg.tree_capacity);
+            cache.covertree.entries.truncate(cache.covertree.capacity);
         }
 
         Ok(DecodedEngine {
             cfg,
-            grid,
-            rp,
             points,
             net,
             writer,
-            deltas,
-            adjacency,
-            fragments,
-            covertree,
+            cache,
             stats,
         })
     }
@@ -1047,15 +978,10 @@ where
     fn assemble(parts: DecodedEngine<P>, metric: M) -> Self {
         let DecodedEngine {
             cfg,
-            grid,
-            rp,
             points,
             net,
             writer,
-            deltas,
-            adjacency,
-            fragments,
-            covertree,
+            cache,
             stats,
         } = parts;
         MetricDbscan {
@@ -1065,32 +991,16 @@ where
             pruning: cfg.pruning,
             max_centers: cfg.max_centers,
             strategy: cfg.strategy,
-            candidate_index: grid.candidate_index,
+            candidate_index: cfg.candidate_index,
             current: RwLock::new(Arc::new(EpochState {
                 epoch: cfg.epoch,
                 points,
                 net,
             })),
             writer: Mutex::new(writer),
-            cache: Mutex::new(EngineCache {
-                fragments,
-                adjacency,
-                covertree,
-                grids: Lru::new(grid.grid_capacity),
-                rps: Lru::new(rp.rp_capacity),
-                deltas,
-            }),
+            cache: Mutex::new(cache),
             pending_epoch: AtomicU64::new(cfg.epoch),
             publishes: AtomicU64::new(cfg.publishes),
-            hits: AtomicU64::new(cfg.hits),
-            misses: AtomicU64::new(cfg.misses),
-            upgrade_count: AtomicU64::new(cfg.upgrades),
-            adj_hits: AtomicU64::new(cfg.adj_hits),
-            adj_misses: AtomicU64::new(cfg.adj_misses),
-            grid_hits: AtomicU64::new(grid.grid_hits),
-            grid_misses: AtomicU64::new(grid.grid_misses),
-            rp_hits: AtomicU64::new(rp.rp_hits),
-            rp_misses: AtomicU64::new(rp.rp_misses),
             load_stats: Some(stats),
             // Callers overwrite with the measured wall clock; a
             // recorder is attached post-load via `with_recorder`.
@@ -1221,16 +1131,12 @@ where
 /// [`MetricDbscan::load_latest`] try several checkpoint files with one
 /// (non-`Clone`) metric value.
 struct DecodedEngine<P> {
-    cfg: EngineSection,
-    grid: GridSection,
-    rp: RpSection,
+    cfg: EngineConfig,
     points: PointBuf<P>,
     net: Arc<RadiusGuidedNet>,
     writer: Option<IngestState<P>>,
-    deltas: VecDeque<EpochDelta>,
-    adjacency: Lru<AdjKey, Arc<CenterAdjacency>>,
-    fragments: Lru<CacheKey, CachedArtifacts>,
-    covertree: Lru<u64, Arc<CoverTreeSkeleton>>,
+    /// Capacities, counters, ingest deltas and every persisted entry.
+    cache: EngineCache,
     stats: LoadStats,
 }
 
@@ -1249,46 +1155,8 @@ where
         let engine = self.engine;
         let started = engine.record_save_start();
         let mut w = ArtifactWriter::new(ArtifactKind::Snapshot, P::TYPE_TAG, M::METRIC_TAG);
-        let (frag_capacity, adj_capacity, tree_capacity, grid_capacity, rp_capacity) = {
-            let cache = engine.cache_lock();
-            (
-                cache.fragments.capacity,
-                cache.adjacency.capacity,
-                cache.covertree.capacity,
-                cache.grids.capacity,
-                cache.rps.capacity,
-            )
-        };
-        EngineSection {
-            rbar: engine.rbar,
-            max_centers: engine.max_centers,
-            strategy: engine.strategy,
-            pruning: engine.pruning,
-            frag_capacity,
-            adj_capacity,
-            tree_capacity,
-            epoch: self.state.epoch,
-            publishes: 0,
-            hits: 0,
-            misses: 0,
-            upgrades: 0,
-            adj_hits: 0,
-            adj_misses: 0,
-        }
-        .encode(w.section(SEC_ENGINE));
-        GridSection {
-            candidate_index: engine.candidate_index,
-            grid_capacity,
-            grid_hits: 0,
-            grid_misses: 0,
-        }
-        .encode(w.section(SEC_GRID));
-        RpSection {
-            rp_capacity,
-            rp_hits: 0,
-            rp_misses: 0,
-        }
-        .encode(w.section(SEC_RP));
+        let cold = engine.cache_lock().cold();
+        encode_config(&mut w, engine, &cold, self.state.epoch, 0);
         encode_epoch_state(&mut w, &self.state);
         w.write_file(path)?;
         engine.record_save_done(started);

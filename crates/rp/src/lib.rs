@@ -336,6 +336,20 @@ impl RpIndex {
         self.len == 0
     }
 
+    /// Approximate heap footprint in bytes (for cache accounting): the
+    /// directions, every list entry and the per-point probe codes.
+    pub fn heap_bytes(&self) -> usize {
+        let entries: usize = self
+            .closest
+            .iter()
+            .chain(&self.furthest)
+            .map(Vec::len)
+            .sum();
+        self.dirs.len() * std::mem::size_of::<f64>()
+            + entries * std::mem::size_of::<Entry>()
+            + self.probes.len() * std::mem::size_of::<u32>()
+    }
+
     /// Dimensionality of the indexed points.
     pub fn dim(&self) -> usize {
         self.dim
