@@ -1899,9 +1899,9 @@ impl<'e, P: Clone + Sync, M: BatchMetric<P>> EngineSnapshot<'e, P, M> {
     /// cached per epoch. Across epochs the cached tree **grows by
     /// insertion** of the new points — the grown tree is bit-identical
     /// to a from-scratch build, because building *is* sequential
-    /// insertion in index order — after which any `ε` extracts its net
-    /// with `n` distance evaluations, one per point for its anchor
-    /// `dis(p, c_p)`.
+    /// insertion in index order — after which any `ε` reads its net off
+    /// the cached skeleton by reference and evaluates `n` distances, one
+    /// per point for its anchor `dis(p, c_p)`.
     pub fn covertree_with(
         &self,
         params: &DbscanParams,
@@ -1933,13 +1933,11 @@ impl<'e, P: Clone + Sync, M: BatchMetric<P>> EngineSnapshot<'e, P, M> {
                 Arc::new(tree.into_skeleton())
             },
         );
-        let tree =
-            CoverTree::from_skeleton(&self.state.points, &engine.metric, (*skeleton).clone());
         let tree_secs = t.elapsed().as_secs_f64();
 
         let level = covertree_level(params.eps());
         let t = Instant::now();
-        let net = CoverTreeNet::extract(&tree, &self.state.points, &engine.metric, level);
+        let net = CoverTreeNet::extract(&skeleton, &self.state.points, &engine.metric, level);
         let net_secs = t.elapsed().as_secs_f64();
         let grid = self.resolve_grid(params.eps());
         let (clustering, steps, frag_hit) =

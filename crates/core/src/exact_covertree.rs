@@ -13,7 +13,7 @@
 
 use std::time::Instant;
 
-use mdbscan_covertree::CoverTree;
+use mdbscan_covertree::{CoverTree, CoverTreeSkeleton};
 use mdbscan_metric::BatchMetric;
 use mdbscan_parallel::Csr;
 
@@ -43,16 +43,17 @@ pub(crate) struct CoverTreeNet {
 }
 
 impl CoverTreeNet {
-    /// Extracts level `level` of `tree` and evaluates the anchors: one
-    /// batched [`BatchMetric::dist_many`] call per center over its cover
-    /// set, `n` distance evaluations in all.
+    /// Extracts level `level` of the tree `skeleton` (built over
+    /// `points`) and evaluates the anchors: one batched
+    /// [`BatchMetric::dist_many`] call per center over its cover set,
+    /// `n` distance evaluations in all.
     pub(crate) fn extract<P, M: BatchMetric<P>>(
-        tree: &CoverTree<'_, P, M>,
+        skeleton: &CoverTreeSkeleton,
         points: &[P],
         metric: &M,
         level: i32,
     ) -> Self {
-        let net = tree.extract_net(level);
+        let net = skeleton.extract_net(level, points.len());
         let cover_sets = Csr::from_assignment(&net.assignment, net.centers.len());
         let mut dist_to_center = vec![0.0; net.assignment.len()];
         let mut buf = Vec::new();
@@ -131,7 +132,7 @@ pub fn exact_dbscan_covertree_with<P: Sync, M: BatchMetric<P> + Sync>(
         return Err(DbscanError::EmptyInput);
     }
     let t = Instant::now();
-    let tree = CoverTree::build(points, metric);
+    let tree = CoverTree::build(points, metric).into_skeleton();
     let tree_secs = t.elapsed().as_secs_f64();
 
     let i0 = covertree_level(eps);

@@ -955,6 +955,18 @@ where
                     )
                     .into());
                 }
+                // The length can agree while an id points past the
+                // slice; reading a net would then index out of bounds.
+                if let Some(max) = skeleton.max_point().filter(|&m| m >= points.len()) {
+                    return Err(PersistError::format(
+                        SEC_COVERTREES,
+                        format!(
+                            "cached tree stores point {max}, engine stores {}",
+                            points.len()
+                        ),
+                    )
+                    .into());
+                }
                 cache
                     .covertree
                     .entries

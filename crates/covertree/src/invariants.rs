@@ -15,12 +15,15 @@ impl<'a, P, M: Metric<P>> CoverTree<'a, P, M> {
     ///   chain is above `i`) is pairwise `> 2^i` separated;
     /// * **nesting** holds by construction (chains), so it is checked
     ///   indirectly via the level structure: `child.level < parent.level`;
-    /// * every stored index appears exactly once.
+    /// * every stored index appears exactly once;
+    /// * each child record copies its child's point, level and parent
+    ///   distance, and a node's records run from the highest level down,
+    ///   in id order within a level.
     ///
     /// Cost is `O(levels · |T_i|²)` distance evaluations — test-only.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let Some(root) = self.root else {
-            if self.nodes.is_empty() && self.len == 0 {
+        let Some(root) = self.tree.root else {
+            if self.tree.nodes.is_empty() && self.tree.len == 0 {
                 return Ok(());
             }
             return Err("rootless tree with nodes".into());
@@ -34,18 +37,34 @@ impl<'a, P, M: Metric<P>> CoverTree<'a, P, M> {
         if idx.len() != n_stored {
             return Err("duplicate point index stored twice".into());
         }
-        if n_stored != self.len {
-            return Err(format!("len {} != stored {}", self.len, n_stored));
+        if n_stored != self.tree.len {
+            return Err(format!("len {} != stored {}", self.tree.len, n_stored));
         }
 
-        // Covering + level ordering via DFS.
+        // Covering + level ordering + child records via DFS.
+        let nodes = &self.tree.nodes;
         let mut stack = vec![root];
         let mut min_level = i32::MAX;
         while let Some(id) = stack.pop() {
-            let node = &self.nodes[id as usize];
+            let node = &nodes[id as usize];
             min_level = min_level.min(node.level);
-            for &c in &node.children {
-                let child = &self.nodes[c as usize];
+            for (k, link) in node.children.iter().enumerate() {
+                stack.push(link.id);
+                let child = &nodes[link.id as usize];
+                if (link.point, link.level, link.parent_dist.to_bits())
+                    != (child.point, child.level, child.parent_dist.to_bits())
+                {
+                    return Err(format!("child record of node {} is stale", link.id));
+                }
+                if let Some(prev) = k.checked_sub(1).map(|j| &node.children[j]) {
+                    let ordered =
+                        prev.level > link.level || (prev.level == link.level && prev.id < link.id);
+                    if !ordered {
+                        return Err(format!(
+                            "children of node {id} not grouped by level in id order"
+                        ));
+                    }
+                }
                 if child.level >= node.level {
                     return Err(format!(
                         "child level {} not below parent level {}",
@@ -64,7 +83,8 @@ impl<'a, P, M: Metric<P>> CoverTree<'a, P, M> {
                     ));
                 }
                 // The stored parent anchor must be the exact edge
-                // distance — the query-time pruning bounds rely on it.
+                // distance — the pruning bounds of insertion and of
+                // the queries rely on it.
                 if d != child.parent_dist {
                     return Err(format!(
                         "stale parent_dist: stored {} but d={d}",
@@ -75,7 +95,7 @@ impl<'a, P, M: Metric<P>> CoverTree<'a, P, M> {
         }
 
         // Separation per level, from the root down to the deepest node.
-        let top = self.nodes[root as usize].level;
+        let top = nodes[root as usize].level;
         let mut level = top;
         while level >= min_level {
             let net = self.extract_net(level);

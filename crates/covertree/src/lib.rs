@@ -20,16 +20,23 @@
 //!    This is the worst-case device of Lemma 5; the engine's Step 2 scans
 //!    the fragments with batched distance kernels instead, because
 //!    building the trees cost more than they saved once net-anchored
-//!    pruning settles most pairs.
+//!    pruning settles most pairs. No solver calls the query methods
+//!    (`nearest`, `nearest_within`, `any_within`, `range`,
+//!    `count_within`, `knn`) any more.
 //! 2. **The §3.2 variant**: when the *whole* input has low doubling
 //!    dimension, the `ε/2`-net that Algorithm 1 would build is read off a
-//!    tree level instead ([`CoverTree::extract_net`]).
+//!    tree level instead ([`CoverTreeSkeleton::extract_net`]).
 //!
-//! This is the *vanilla* explicit-representation cover tree: one node per
-//! distinct point, implicit self-chains, exact duplicates collapsed into
-//! their representative node (see [`CoverTree::build`]). Simplified /
-//! compressed variants (Izbicki–Shelton 2015, Elkin–Kurlin 2023) could be
-//! dropped in behind the same API, as Remark 2 of the paper notes.
+//! This is an explicit-representation cover tree: one node per distinct
+//! point, implicit self-chains, exact duplicates collapsed into their
+//! representative node (see [`CoverTree::build`]). Each node keeps its
+//! children grouped by level, so an insertion's descent reads one run
+//! of child records per cover-set node and level, and evaluates each
+//! level's surviving children with one batched
+//! [`mdbscan_metric::BatchMetric::dist_many`] call. The simplified
+//! cover tree (Izbicki–Shelton 2015) and compressed variants
+//! (Elkin–Kurlin 2023) would build a different tree and so a different
+//! net, as Remark 2 of the paper notes.
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 

@@ -14,8 +14,7 @@
 //! matches the requirement of the exact pipeline (Remark 5: any
 //! `r̄ ≤ ε/2` works).
 
-use crate::tree::{exp2, CoverTree};
-use mdbscan_metric::Metric;
+use crate::tree::{exp2, CoverTree, CoverTreeSkeleton};
 
 /// An `r`-net extracted from a cover-tree level: centers, per-point
 /// assignment, and the guaranteed covering radius.
@@ -35,41 +34,55 @@ pub struct NetExtraction {
     pub separation: f64,
 }
 
-impl<'a, P, M: Metric<P>> CoverTree<'a, P, M> {
-    /// Extracts the implicit level-`level` net `T_level`.
+impl CoverTreeSkeleton {
+    /// Extracts the implicit level-`level` net `T_level`. Needs neither
+    /// the points nor the metric: the tree records everything.
     ///
     /// Centers are all chains alive at `level` (explicit nodes with
     /// `node.level ≥ level`); every stored point is assigned to the center
     /// whose subtree contains it, at distance ≤ `2^{level+1}`.
     ///
-    /// The `assignment` vector is sized to the backing slice; entries for
-    /// points that were never inserted are `u32::MAX`.
-    pub fn extract_net(&self, level: i32) -> NetExtraction {
+    /// The `assignment` vector has `num_points` entries (the length of
+    /// the backing slice, which must exceed every stored index); entries
+    /// for points that were never inserted are `u32::MAX`.
+    pub fn extract_net(&self, level: i32, num_points: usize) -> NetExtraction {
+        self.assert_fits(num_points);
         let mut centers = Vec::new();
-        let mut assignment = vec![u32::MAX; self.points.len()];
+        let mut assignment = vec![u32::MAX; num_points];
         if let Some(root) = self.root {
-            // DFS carrying the current center: a node starts a new center
-            // when its level is >= the target level; otherwise it belongs
-            // to its parent's center.
-            let mut stack: Vec<(u32, u32)> = Vec::new(); // (node, center pos)
-            let root_center = centers.len() as u32;
+            // Every node's center position. The centers (the root and
+            // the nodes at or above `level`) form a subtree, and a
+            // node's center children lead its level-grouped list.
+            // Number them depth first, each node's children in id
+            // order and numbered as they are pushed.
+            let mut center_of = vec![u32::MAX; self.nodes.len()];
+            let mut stack = vec![root];
+            let mut fresh: Vec<u32> = Vec::new();
+            center_of[root as usize] = 0;
             centers.push(self.nodes[root as usize].point as usize);
-            stack.push((root, root_center));
-            while let Some((id, center)) = stack.pop() {
-                let node = &self.nodes[id as usize];
+            while let Some(id) = stack.pop() {
+                let children = &self.nodes[id as usize].children;
+                let split = children.partition_point(|c| c.level >= level);
+                fresh.clear();
+                fresh.extend(children[..split].iter().map(|c| c.id));
+                fresh.sort_unstable();
+                for &c in &fresh {
+                    center_of[c as usize] = centers.len() as u32;
+                    centers.push(self.nodes[c as usize].point as usize);
+                    stack.push(c);
+                }
+            }
+            // Every other node belongs to its parent's center. A parent
+            // has a lower id than its children, so one pass in id order
+            // reaches each parent first.
+            for (id, node) in self.nodes.iter().enumerate() {
+                let center = center_of[id];
                 assignment[node.point as usize] = center;
                 for &s in &node.same {
                     assignment[s as usize] = center;
                 }
-                for &c in &node.children {
-                    let child = &self.nodes[c as usize];
-                    if child.level >= level {
-                        let pos = centers.len() as u32;
-                        centers.push(child.point as usize);
-                        stack.push((c, pos));
-                    } else {
-                        stack.push((c, center));
-                    }
+                for c in &node.children[node.children.partition_point(|c| c.level >= level)..] {
+                    center_of[c.id as usize] = center;
                 }
             }
         }
@@ -82,10 +95,19 @@ impl<'a, P, M: Metric<P>> CoverTree<'a, P, M> {
     }
 }
 
+impl<'a, P, M> CoverTree<'a, P, M> {
+    /// Extracts the implicit level-`level` net `T_level`; see
+    /// [`CoverTreeSkeleton::extract_net`]. The `assignment` vector is
+    /// sized to the backing slice.
+    pub fn extract_net(&self, level: i32) -> NetExtraction {
+        self.tree.extract_net(level, self.points.len())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mdbscan_metric::Euclidean;
+    use mdbscan_metric::{Euclidean, Metric};
 
     fn line(n: usize, step: f64) -> Vec<Vec<f64>> {
         (0..n).map(|i| vec![i as f64 * step]).collect()

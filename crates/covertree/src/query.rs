@@ -28,8 +28,10 @@ impl Ord for HeapItem {
 impl<'a, P, M: Metric<P>> CoverTree<'a, P, M> {
     #[inline]
     fn node_dist(&self, node: u32, q: &P) -> f64 {
-        self.metric
-            .distance(&self.points[self.nodes[node as usize].point as usize], q)
+        self.metric.distance(
+            &self.points[self.tree.nodes[node as usize].point as usize],
+            q,
+        )
     }
 
     /// Descends the tree keeping every node whose subtree could contain a
@@ -45,7 +47,7 @@ impl<'a, P, M: Metric<P>> CoverTree<'a, P, M> {
     /// `None` to abort the whole traversal early (used by
     /// [`Self::any_within`]).
     fn descend(&self, query: &P, mut base: f64, mut visit: impl FnMut(&mut f64, u32, f64) -> bool) {
-        let Some(root) = self.root else {
+        let Some(root) = self.tree.root else {
             return;
         };
         let d_root = self.node_dist(root, query);
@@ -53,13 +55,13 @@ impl<'a, P, M: Metric<P>> CoverTree<'a, P, M> {
             return;
         }
         let mut beam: Vec<(u32, f64)> = vec![(root, d_root)];
-        let mut level = self.nodes[root as usize].level;
+        let mut level = self.tree.nodes[root as usize].level;
         loop {
             // Next level with explicit children to expand.
             let Some(next) = beam
                 .iter()
-                .flat_map(|&(q, _)| self.nodes[q as usize].children.iter())
-                .map(|&c| self.nodes[c as usize].level)
+                .flat_map(|&(q, _)| self.tree.nodes[q as usize].children.iter())
+                .map(|c| c.level)
                 .filter(|&l| l < level)
                 .max()
             else {
@@ -88,17 +90,16 @@ impl<'a, P, M: Metric<P>> CoverTree<'a, P, M> {
             // indexing avoids holding a borrow across the mutation below
             for k in 0..beam.len() {
                 let (q, dq) = beam[k];
-                for &c in &self.nodes[q as usize].children {
-                    let node = &self.nodes[c as usize];
-                    if node.level == level {
-                        if dq - node.parent_dist - reach_child > base {
+                for c in &self.tree.nodes[q as usize].children {
+                    if c.level == level {
+                        if dq - c.parent_dist - reach_child > base {
                             continue;
                         }
-                        let d = self.node_dist(c, query);
-                        if !visit(&mut base, c, d) {
+                        let d = self.node_dist(c.id, query);
+                        if !visit(&mut base, c.id, d) {
                             return;
                         }
-                        new_nodes.push((c, d));
+                        new_nodes.push((c.id, d));
                     }
                 }
             }
@@ -114,7 +115,7 @@ impl<'a, P, M: Metric<P>> CoverTree<'a, P, M> {
         self.descend(query, f64::INFINITY, |base, node, d| {
             if best.is_none_or(|b| d < b.distance) {
                 best = Some(Neighbor {
-                    index: self.nodes[node as usize].point as usize,
+                    index: self.tree.nodes[node as usize].point as usize,
                     distance: d,
                 });
                 *base = d;
@@ -132,7 +133,7 @@ impl<'a, P, M: Metric<P>> CoverTree<'a, P, M> {
         self.descend(query, bound, |base, node, d| {
             if d <= *base && best.is_none_or(|b| d < b.distance) {
                 best = Some(Neighbor {
-                    index: self.nodes[node as usize].point as usize,
+                    index: self.tree.nodes[node as usize].point as usize,
                     distance: d,
                 });
                 *base = d;
@@ -153,7 +154,7 @@ impl<'a, P, M: Metric<P>> CoverTree<'a, P, M> {
         self.descend(query, radius, |_base, node, d| {
             if d <= radius {
                 found = Some(Neighbor {
-                    index: self.nodes[node as usize].point as usize,
+                    index: self.tree.nodes[node as usize].point as usize,
                     distance: d,
                 });
                 return false;
@@ -169,7 +170,7 @@ impl<'a, P, M: Metric<P>> CoverTree<'a, P, M> {
         let before = out.len();
         self.descend(query, radius, |_base, node, d| {
             if d <= radius {
-                let n = &self.nodes[node as usize];
+                let n = &self.tree.nodes[node as usize];
                 out.push(n.point as usize);
                 out.extend(n.same.iter().map(|&s| s as usize));
             }
@@ -188,7 +189,7 @@ impl<'a, P, M: Metric<P>> CoverTree<'a, P, M> {
         let mut count = 0usize;
         self.descend(query, radius, |_base, node, d| {
             if d <= radius {
-                count += 1 + self.nodes[node as usize].same.len();
+                count += 1 + self.tree.nodes[node as usize].same.len();
                 if count >= cap {
                     return false;
                 }
@@ -207,7 +208,7 @@ impl<'a, P, M: Metric<P>> CoverTree<'a, P, M> {
         }
         let mut heap: std::collections::BinaryHeap<HeapItem> = std::collections::BinaryHeap::new();
         self.descend(query, f64::INFINITY, |base, node, d| {
-            let n = &self.nodes[node as usize];
+            let n = &self.tree.nodes[node as usize];
             for &idx in std::iter::once(&n.point).chain(n.same.iter()) {
                 if heap.len() < k {
                     heap.push(HeapItem {

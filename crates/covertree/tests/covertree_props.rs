@@ -106,5 +106,23 @@ proptest! {
             .map(|w| Levenshtein.distance(w, &q))
             .fold(f64::INFINITY, f64::min);
         prop_assert_eq!(got.distance, want);
+        // Every level's net covers and separates under brute-force
+        // distances, and the detached skeleton reads the same net.
+        let skeleton = CoverTree::build(&words, &Levenshtein).into_skeleton();
+        for level in -1..=2 {
+            let net = tree.extract_net(level);
+            let again = skeleton.extract_net(level, words.len());
+            prop_assert_eq!(&net.centers, &again.centers);
+            prop_assert_eq!(&net.assignment, &again.assignment);
+            for (i, w) in words.iter().enumerate() {
+                let c = &words[net.centers[net.assignment[i] as usize]];
+                prop_assert!(Levenshtein.distance(c, w) <= net.cover_radius);
+            }
+            for (a, &ci) in net.centers.iter().enumerate() {
+                for &cj in &net.centers[a + 1..] {
+                    prop_assert!(Levenshtein.distance(&words[ci], &words[cj]) > net.separation);
+                }
+            }
+        }
     }
 }

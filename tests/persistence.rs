@@ -24,12 +24,13 @@ use std::sync::Arc;
 use metric_dbscan::core::{
     ApproxParams, DbscanError, DbscanParams, MetricDbscan, NetStrategy, PointLabel, RunDetail,
 };
+use metric_dbscan::covertree::CoverTree;
 use metric_dbscan::datagen::{blobs, string_clusters, BlobSpec, StringSpec};
 use metric_dbscan::metric::{
     BatchMetric, CountingMetric, Euclidean, Levenshtein, Manhattan, MetricTag, PersistPoint,
     PruningConfig, VectorBlock,
 };
-use metric_dbscan::persist::{ArtifactReader, ArtifactWriter};
+use metric_dbscan::persist::{ArtifactReader, ArtifactWriter, ByteWriter};
 
 fn vector_points() -> Vec<Vec<f64>> {
     blobs(
@@ -412,8 +413,19 @@ fn corruption_and_mismatch_fail_typed() {
 /// only the decoder's structural checks stand between the splice and a
 /// cache hit.
 fn splice(into: &[u8], from: &[u8], taken: &[&str]) -> Vec<u8> {
-    let dst = ArtifactReader::from_bytes(into).unwrap();
     let src = ArtifactReader::from_bytes(from).unwrap();
+    rewrite(into, |name| {
+        taken.contains(&name).then(|| {
+            let mut r = src.require_section(name).unwrap();
+            r.take_bytes(r.remaining()).unwrap().to_vec()
+        })
+    })
+}
+
+/// Rewrites artifact `into` with each section's payload replaced by
+/// `payload(name)` where that returns one.
+fn rewrite(into: &[u8], payload: impl Fn(&str) -> Option<Vec<u8>>) -> Vec<u8> {
+    let dst = ArtifactReader::from_bytes(into).unwrap();
     let mut w = ArtifactWriter::new(dst.kind(), dst.point_tag(), dst.metric_tag());
     for name in [
         "engine",
@@ -428,10 +440,10 @@ fn splice(into: &[u8], from: &[u8], taken: &[&str]) -> Vec<u8> {
         "step2-components",
         "covertree-cache",
     ] {
-        let art = if taken.contains(&name) { &src } else { &dst };
-        let mut r = art.require_section(name).unwrap();
-        let payload = r.take_bytes(r.remaining()).unwrap();
-        w.section(name).put_bytes(payload);
+        let mut r = dst.require_section(name).unwrap();
+        let own = r.take_bytes(r.remaining()).unwrap();
+        w.section(name)
+            .put_bytes(&payload(name).unwrap_or_else(|| own.to_vec()));
     }
     w.to_bytes()
 }
@@ -547,6 +559,40 @@ fn cache_entries_from_another_net_are_rejected() {
     );
     match load_bytes(&spliced, "splice_short_tree").map(|_| ()) {
         Err(DbscanError::Format { section, .. }) => assert_eq!(section, "covertree-cache"),
+        other => panic!("expected Format, got {other:?}"),
+    }
+}
+
+/// A cached cover tree of the right length whose point ids run past
+/// the engine's points fails typed at load; reading a net off it would
+/// index out of bounds.
+#[test]
+fn cached_tree_with_a_point_past_the_slice_fails_at_load() {
+    let points = vector_points();
+    let n = points.len();
+    let engine = MetricDbscan::builder(points.clone(), Euclidean)
+        .rbar(0.5)
+        .build()
+        .unwrap();
+    let bytes = artifact_bytes(&engine, "tree_past_slice");
+    // As many points as the engine, one id up in a longer slice.
+    let mut longer = points;
+    longer.push(vec![1e3, 1e3]);
+    let skeleton = CoverTree::from_indices(&longer, &Euclidean, 1..=n).into_skeleton();
+    assert_eq!((skeleton.len(), skeleton.max_point()), (n, Some(n)));
+    let mut section = ByteWriter::new();
+    section.put_usize(1);
+    section.put_u64(engine.epoch());
+    skeleton.encode(&mut section);
+    let section = section.into_bytes();
+    let hostile = rewrite(&bytes, |name| {
+        (name == "covertree-cache").then(|| section.clone())
+    });
+    match load_bytes(&hostile, "tree_past_slice_load").map(|_| ()) {
+        Err(DbscanError::Format { section, reason }) => {
+            assert_eq!(section, "covertree-cache");
+            assert!(reason.contains("stores point"), "got: {reason}");
+        }
         other => panic!("expected Format, got {other:?}"),
     }
 }
